@@ -25,7 +25,6 @@ from .galmod import (
     cyclotomic_module,
     direct_sum,
     fixed_points,
-    galois_closure,
     halving_exclusion,
     homothety_module,
     is_almost_rational,

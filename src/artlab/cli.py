@@ -1,7 +1,7 @@
 """Command-line surface: subcommand dispatch, deterministic report emission,
 and an optional file cache for batch runs.
 
-Every emission is a pure function of (parameters, artifact version): the
+Every emission is a pure function of (parameters, package sources): the
 JSON "ms" field is pinned to 0 and worker counts never reorder output, so
 repeated runs are byte-identical and cacheable.
 
@@ -18,9 +18,9 @@ import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import Callable, Optional
 
-from . import __version__
 from .errors import InvalidInputError, ResourceCapError
 from .galmod import (
     ARTReport,
@@ -220,9 +220,13 @@ def cache_roundtrip(cache_dir: str, key_params: dict,
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(envelope, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # the write or the rename failed
+                os.unlink(tmp)
     except OSError as exc:
         print(f"artlab: cache directory unusable ({exc}); continuing uncached",
               file=sys.stderr)
@@ -342,6 +346,14 @@ def _run_command(args) -> tuple[str, int]:
     raise InvalidInputError(f"unknown subcommand {cmd!r}")
 
 
+def _source_digest() -> str:
+    """sha256 of the package sources: no cache entry outlives the code that wrote it."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(args) -> dict:
     skip = {"threads", "cache_dir"}
     params = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -352,7 +364,7 @@ def _cache_key(args) -> dict:
                 params["module_sha256"] = hashlib.sha256(fh.read()).hexdigest()
         except OSError:
             pass  # the command itself will report the unreadable file
-    return {"version": __version__, "params": params}
+    return {"sources": _source_digest(), "params": params}
 
 
 def dispatch(argv: Optional[list[str]] = None) -> int:
@@ -362,6 +374,8 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     try:
         if args.threads < 1:
             raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
+        # scans and surveys start one OS thread per requested worker
+        args.threads = min(args.threads, os.cpu_count() or 1)
         if cache_dir:
             output, exit_code = cache_roundtrip(
                 cache_dir, _cache_key(args), lambda: _run_command(args))

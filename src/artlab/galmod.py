@@ -5,9 +5,9 @@ A module is a finite abelian group ⊕_i Z/d_i together with a finite group of
 automorphisms given by integer matrices acting on column coordinate vectors.
 A point p is almost rational when sigma(p) - p = p - tau(p) forces
 sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
-difference set {sigma(p) - p} meets its own negation only in 0.  Both forms
-are implemented: the difference-set test is the production predicate, the
-literal two-quantifier double loop is kept as an independent oracle.
+difference set {sigma(p) - p} meets its own negation only in 0.  The
+production predicate is the difference-set test in one block kernel,
+`_not_ar_mask`; the literal two-quantifier loop is an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceCapError
 from .modarith import unit_group_generators
-from .snf import smith_normal_form
+from .snf import mat_mul, smith_normal_form
 
 DEFAULT_MAX_CLOSURE = 10 ** 6
 DEFAULT_MAX_POINTS = 10 ** 7
@@ -86,14 +86,6 @@ def _identity_matrix(factors: Sequence[int]) -> Matrix:
     k = len(factors)
     return _reduce_rowwise(
         [[1 if i == j else 0 for j in range(k)] for i in range(k)], factors)
-
-
-def _mat_mul_mod(a: Matrix, b: Matrix, factors: Sequence[int]) -> Matrix:
-    k = len(factors)
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(k)) % factors[i] for j in range(k))
-        for i in range(k)
-    )
 
 
 def _check_well_defined(matrix: Matrix, factors: Sequence[int], label: str) -> None:
@@ -178,7 +170,7 @@ class GaloisModule:
         return Automorphism(_identity_matrix(self.factors))
 
     def compose(self, a: Automorphism, b: Automorphism) -> Automorphism:
-        return Automorphism(_mat_mul_mod(a.matrix, b.matrix, self.factors))
+        return Automorphism(_reduce_rowwise(mat_mul(a.matrix, b.matrix), self.factors))
 
     def _check_invertible(self, mat: Matrix, idx: int) -> None:
         ident = _identity_matrix(self.factors)
@@ -187,7 +179,7 @@ class GaloisModule:
         seen = {mat}
         cur = mat
         for _ in range(self.max_closure + 1):
-            cur = _mat_mul_mod(cur, mat, self.factors)
+            cur = _reduce_rowwise(mat_mul(cur, mat), self.factors)
             if cur == ident:
                 return
             if cur in seen:
@@ -213,7 +205,7 @@ class GaloisModule:
             nxt = []
             for m in queue:
                 for g in gen_mats:
-                    prod_m = _mat_mul_mod(m, g, self.factors)
+                    prod_m = _reduce_rowwise(mat_mul(m, g), self.factors)
                     if prod_m not in seen:
                         seen.add(prod_m)
                         if len(seen) > self.max_closure:
@@ -261,10 +253,6 @@ def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> Galois
     return GaloisModule(factors, mats, name=str(name), max_closure=max_closure)
 
 
-def galois_closure(module: GaloisModule) -> tuple[Automorphism, ...]:
-    return module.closure
-
-
 def apply_automorphism(module: GaloisModule, a: Automorphism, p: Point) -> Point:
     """Coordinate i of the image is sum_j A_ij * c_j mod d_i."""
     return tuple(
@@ -276,9 +264,7 @@ def apply_automorphism(module: GaloisModule, a: Automorphism, p: Point) -> Point
 def is_almost_rational(module: GaloisModule, p: Point) -> bool:
     """Difference-set predicate: D = {sigma(p) - p} must meet -D only in 0."""
     p = module.check_point(p)
-    zero = module.zero()
-    diffs = {module.sub(apply_automorphism(module, a, p), p) for a in module.closure}
-    return not any(d != zero and module.neg(d) in diffs for d in diffs)
+    return not _not_ar_mask(module, [p])[0]
 
 
 def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
@@ -297,48 +283,59 @@ def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
     return True
 
 
-def _bulk_not_ar_indices(module: GaloisModule) -> np.ndarray:
-    """Vectorized difference-set test over every point at once.
+def _point_grid(module: GaloisModule) -> np.ndarray:
+    """Every point as one row of an (n, k) int64 array, in module.points() order."""
+    grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in module.factors), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(module.point_count, module.rank)
 
-    Encodes points as mixed-radix codes c < total and builds, per chunk, the
-    difference codes D_i = {code(sigma(p_i) - p_i)}.  The offset code
-    i*total + c is unique for each pair (i, c), so after one np.sort of the
-    offset difference codes, np.searchsorted finds i*total + code(-d) exactly
-    when -d lies in D_i.  A hit with d != 0 (equivalently -d != 0) marks p_i
-    as not almost rational.  Repeated codes are harmless: membership is all
-    that is asked.  Exact integer arithmetic throughout; returns the sorted
-    indices of the non-almost-rational points.
+
+def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
+    """The difference-set test on an (n, k) block of points: True where not a.r.
+
+    Per chunk, the mixed-radix codes c < total of D_i = {sigma(p_i) - p_i}
+    and of -D_i are built by Horner's rule one coordinate at a time, in
+    place, so no |closure| x chunk x k array exists.  The offset code
+    i*total + c is unique per pair (i, c), so after one sort of the offset
+    difference codes, searchsorted finds i*total + code(-d) exactly when -d
+    lies in D_i; a hit with d != 0 marks p_i as not almost rational.
+    Repeated codes are harmless.  Exact integer arithmetic throughout.
     """
-    factors = module.factors
-    k = len(factors)
     total = module.point_count
-    d_vec = np.array(factors, dtype=np.int64)
-    weights = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        weights[i] = weights[i + 1] * factors[i + 1]
-    grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in factors), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(total, k)
-    negmap = ((-pts) % d_vec) @ weights
-    mats = [np.array(a.matrix, dtype=np.int64) for a in module.closure]
+    if total > 2 ** 31:  # keeps every matrix product and offset code below 2**63
+        raise ResourceCapError(f"{module.name}: {total} points overflow int64 difference codes")
+    pts = np.asarray(pts, dtype=np.int64)
+    mats = np.array([a.matrix for a in module.closure], dtype=np.int64)
     s = len(mats)
-    bad = np.zeros(total, dtype=bool)
-    chunk = max(1024, min(total, 4_000_000 // max(s, 1)))
-    for start in range(0, total, chunk):
+    bad = np.zeros(len(pts), dtype=bool)
+    chunk = max(1024, 4_000_000 // s)
+    for start in range(0, len(pts), chunk):
         block = pts[start:start + chunk]
-        c = block.shape[0]
-        d_codes = np.empty((s, c), dtype=np.int64)
-        for si, mat in enumerate(mats):
-            image = (block @ mat.T) % d_vec
-            d_codes[si] = ((image - block) % d_vec) @ weights
-        n_codes = negmap[d_codes]
-        offsets = (np.arange(start, start + c, dtype=np.int64) * total)
-        hay = np.sort((d_codes + offsets).ravel())
-        needles = (n_codes + offsets).ravel()
-        pos = np.searchsorted(hay, needles)
-        np.minimum(pos, hay.size - 1, out=pos)
-        hit = (hay[pos] == needles).reshape(s, c) & (n_codes != 0)
+        c = len(block)
+        d_codes = np.zeros((s, c), dtype=np.int64)
+        n_codes = np.zeros((s, c), dtype=np.int64)
+        coord = np.empty((s, c), dtype=np.int64)
+        for i, d in enumerate(module.factors):
+            np.matmul(mats[:, i, :], block.T, out=coord)
+            coord -= block[:, i]
+            coord %= d
+            d_codes *= d
+            d_codes += coord
+            np.negative(coord, out=coord)
+            coord %= d
+            n_codes *= d
+            n_codes += coord
+        del coord  # one (s, c) array fewer while the sort and search allocate
+        nonzero = n_codes != 0
+        offsets = np.arange(c, dtype=np.int64) * total
+        d_codes += offsets
+        n_codes += offsets
+        hay = d_codes.ravel()
+        hay.sort()
+        pos = np.searchsorted(hay, n_codes.ravel())
+        np.take(hay, pos, mode="clip", out=pos)  # a needle past the end reads hay[-1]
+        hit = (pos == n_codes.ravel()).reshape(s, c) & nonzero
         bad[start:start + c] = hit.any(axis=0)
-    return np.flatnonzero(bad)
+    return bad
 
 
 def almost_rational_set(module: GaloisModule,
@@ -351,14 +348,8 @@ def almost_rational_set(module: GaloisModule,
     if total > max_points:
         raise ResourceCapError(
             f"{module.name}: {total} points exceeds the cap {max_points}")
-    closure_size = len(module.closure)
-    # the bulk path's fixed numpy cost pays for itself above a few dozen pairs
-    if total * closure_size >= 64:
-        not_ar = _bulk_not_ar_indices(module)
-        bad = set(not_ar.tolist())
-        ar = tuple(p for i, p in enumerate(module.points()) if i not in bad)
-    else:
-        ar = tuple(p for p in module.points() if is_almost_rational(module, p))
+    pts = _point_grid(module)
+    ar = tuple(map(tuple, pts[~_not_ar_mask(module, pts)].tolist()))
     elapsed = (time.perf_counter() - t0) * 1000.0
     if expected is None:
         return ARTReport(module.name, total, ar, None, "not-checked", elapsed)
@@ -510,7 +501,7 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
 
     new_gens = []
     for g in module.generators:
-        conj = _int_mat_mul(_int_mat_mul(u, [list(r) for r in g.matrix]), uinv)
+        conj = mat_mul(mat_mul(u, g.matrix), uinv)
         new_gens.append([[conj[i][j] for j in keep] for i in keep])
     qname = name or f"{module.name}/sub{len(span)}"
     qmod = GaloisModule(new_factors, new_gens, name=qname, max_closure=module.max_closure)
@@ -524,11 +515,6 @@ def quotient_by(module: GaloisModule, sub: Sequence[Point],
     return quotient_presentation(module, sub, name=name).module
 
 
-def _int_mat_mul(a, b):
-    n, m, c = len(a), len(b[0]), len(b)
-    return [[sum(a[i][l] * b[l][j] for l in range(c)) for j in range(m)] for i in range(n)]
-
-
 # -- lemma audits --------------------------------------------------------
 
 
@@ -538,7 +524,7 @@ def two_step_unipotents(module: GaloisModule) -> tuple[Automorphism, ...]:
     out = []
     for a in module.closure:
         m = [[a.matrix[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
-        sq = _int_mat_mul(m, m)
+        sq = mat_mul(m, m)
         if all(sq[i][j] % module.factors[i] == 0 for i in range(k) for j in range(k)):
             out.append(a)
     return tuple(out)
@@ -576,9 +562,8 @@ def halving_exclusion(module: GaloisModule, p: Point,
 
 def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
     """Points fixed by the entire closure (the rational points of the model)."""
-    gens = module.generators or ()
-    out = []
-    for p in module.points():
-        if all(apply_automorphism(module, a, p) == p for a in gens):
-            out.append(p)
-    return tuple(out)
+    pts = _point_grid(module)
+    keep = np.ones(len(pts), dtype=bool)
+    for g in module.generators:
+        keep &= ((pts @ np.array(g.matrix, dtype=np.int64).T) % module.factors == pts).all(axis=1)
+    return tuple(map(tuple, pts[keep].tolist()))

@@ -111,8 +111,8 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
     # A single fold may reintroduce off-diagonal entries; iterate to fixpoint.
     if not _is_snf(a, rows, cols):
         d2, u2, u2inv = smith_normal_form(a)
-        u = _mat_mul(u2, u)
-        uinv = _mat_mul(uinv, u2inv)
+        u = mat_mul(u2, u)
+        uinv = mat_mul(uinv, u2inv)
         a = d2
     return a, u, uinv
 
@@ -133,6 +133,7 @@ def _is_snf(a, rows, cols) -> bool:
     return True
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def mat_mul(a, b) -> list[list[int]]:
+    """Exact integer product of two matrices given as sequences of rows."""
     n, m, c = len(a), len(b[0]), len(b)
     return [[sum(a[i][l] * b[l][j] for l in range(c)) for j in range(m)] for i in range(n)]

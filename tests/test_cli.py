@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from artlab import cli
 from artlab.cli import dispatch, emit_report, cache_roundtrip
 from artlab.galmod import almost_rational_set, cyclotomic_module
 from artlab.lemma2 import failure_scan
@@ -91,6 +92,20 @@ class TestExitCodes:
     def test_bad_thread_count(self, capsys):
         code, _, err = run(capsys, "mu", "11", "--threads", "0")
         assert code == 2 and "--threads" in err
+
+    def test_thread_count_clamped_to_cpu_count(self, capsys, monkeypatch):
+        seen = []
+
+        def fake_scan(e, max_m, threads=1):
+            seen.append(threads)
+            return failure_scan(e, max_m)
+
+        monkeypatch.setattr(cli, "failure_scan", fake_scan)
+        for requested in ("1", "1000000"):
+            code, _, _ = run(capsys, "lemma2", "scan", "--e", "1", "--max", "10",
+                             "--threads", requested)
+            assert code == 0
+        assert seen == [1, os.cpu_count() or 1]
 
 
 class TestAnalyze:
@@ -221,6 +236,28 @@ class TestCache:
         assert cache_roundtrip(cache, key_v1, compute) == ("out\n", 0)
         assert cache_roundtrip(cache, key_v2, compute) == ("out\n", 0)
         assert len(calls) == 2  # second v1 call was served from cache
+
+    def test_source_digest_partition(self, tmp_path, capsys, monkeypatch):
+        cache = str(tmp_path / "cache")
+        monkeypatch.setattr(cli, "_source_digest", lambda: "a" * 64)
+        run(capsys, "mu", "11", "--json", "--cache-dir", cache)
+        run(capsys, "mu", "11", "--json", "--cache-dir", cache)
+        assert len(os.listdir(cache)) == 1  # same sources: a hit
+        monkeypatch.setattr(cli, "_source_digest", lambda: "b" * 64)
+        run(capsys, "mu", "11", "--json", "--cache-dir", cache)
+        assert len(os.listdir(cache)) == 2  # changed sources: a miss
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        def failing_dump(obj, fh):
+            fh.write("{partial")
+            raise OSError("disk full")
+
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(cli.json, "dump", failing_dump)
+        code, out, err = run(capsys, "mu", "11", "--json", "--cache-dir", str(cache))
+        assert code == 0 and out.startswith('{"name":"mu_11"')
+        assert "uncached" in err
+        assert list(cache.iterdir()) == []
 
     def test_exit_code_preserved_on_hit(self, tmp_path):
         cache = str(tmp_path)

@@ -13,7 +13,6 @@ from artlab import (
     cyclotomic_module,
     direct_sum,
     fixed_points,
-    galois_closure,
     halving_exclusion,
     homothety_module,
     is_almost_rational,
@@ -25,7 +24,7 @@ from artlab import (
     two_step_unipotents,
     validate_module,
 )
-from artlab.galmod import _bulk_not_ar_indices
+from artlab.galmod import _not_ar_mask, _point_grid
 from artlab.modarith import unit_group_generators
 from artlab.snf import smith_normal_form
 
@@ -86,7 +85,7 @@ class TestValidation:
 
 class TestClosure:
     def test_mu7_has_six_automorphisms(self):
-        assert len(galois_closure(cyclotomic_module(7))) == 6
+        assert len(cyclotomic_module(7).closure) == 6
 
     def test_identity_only(self):
         m = GaloisModule((6,), [[[1]]])
@@ -199,29 +198,40 @@ class TestEnumeration:
         with pytest.raises(InvalidInputError):
             ARTReport("x", 3, ((0,),), ((0,), (1,)), "pass", 0.0)
 
-    def test_bulk_path_matches_pointwise_predicate(self):
+    def test_block_kernel_matches_naive_oracle(self):
         mods = [cyclotomic_module(n) for n in (8, 12, 30, 101)]
         mods.append(direct_sum(constant_module(10), cyclotomic_module(10)))
         mods.append(quotient_by(direct_sum(constant_module(6), cyclotomic_module(6)), [(3, 3)]))
         mods.append(GaloisModule((3, 3), [[[0, 2], [1, 0]], [[1, 1], [0, 1]]]))
         for m in mods:
-            bad = set(_bulk_not_ar_indices(m).tolist())
+            bad = _not_ar_mask(m, _point_grid(m))
             for idx, p in enumerate(m.points()):
-                assert (idx not in bad) == is_almost_rational(m, p), (m.name, p)
+                assert (not bad[idx]) == is_almost_rational_naive(m, p), (m.name, p)
+
+    def test_kernel_refuses_int64_overflow(self):
+        # (n - 1) * p exceeds 2**63 here, so int64 codes would wrap silently
+        n = 3 ** 25 - 1
+        m = GaloisModule((n,), [[[3]], [[n - 1]]])
+        assert not is_almost_rational_naive(m, (n - 5,))
+        with pytest.raises(ResourceCapError, match="overflow"):
+            is_almost_rational(m, (n - 5,))
+        huge = GaloisModule((2 ** 64,), [[[2 ** 64 - 1]]])
+        with pytest.raises(ResourceCapError, match="overflow"):
+            is_almost_rational(huge, (2 ** 63 + 1,))
 
     def test_bulk_path_across_chunks(self):
         # 4620 points x 960 automorphisms exceeds the 4e6-code chunk budget,
-        # so the bulk predicate runs over two chunks split at `boundary`
+        # so the block kernel runs over two chunks split at `boundary`
         m = cyclotomic_module(4620)
         assert len(m.closure) == 960
         boundary = 4_000_000 // len(m.closure)
         assert 0 < boundary < m.point_count
-        bad = set(_bulk_not_ar_indices(m).tolist())
+        bad = _not_ar_mask(m, _point_grid(m))
         points = list(m.points())
-        ar = [p for idx, p in enumerate(points) if idx not in bad]
+        ar = [p for idx, p in enumerate(points) if not bad[idx]]
         assert ar == [p for p in points if m.order_of(p) in (1, 2, 3, 6)]
         for idx in range(boundary - 16, boundary + 16):
-            assert (idx not in bad) == is_almost_rational(m, points[idx]), points[idx]
+            assert (not bad[idx]) == is_almost_rational(m, points[idx]), points[idx]
 
 
 class TestConstructors:
@@ -492,6 +502,12 @@ class TestHalvingExclusion:
 
 
 class TestElementaryFacts:
+    def test_fixed_points_match_pointwise_definition(self, module_corpus):
+        for m in module_corpus:
+            expected = [p for p in m.points()
+                        if all(apply_automorphism(m, a, p) == p for a in m.closure)]
+            assert list(fixed_points(m)) == expected, m.name
+
     def test_fixed_points_are_ar(self, module_corpus):
         rng = random.Random(23)
         for m in rng.sample(module_corpus, 40):

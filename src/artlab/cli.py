@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON lines")
     common.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="worker count for scans/surveys (never changes output)")
+                        help="worker count for surveys (never changes output)")
     common.add_argument("--cache-dir", default=None, metavar="PATH",
                         help=f"cache directory (default: ${CACHE_ENV_VAR})")
     common.add_argument("--max-closure", type=int, default=DEFAULT_MAX_CLOSURE)
@@ -319,7 +319,7 @@ def _run_command(args) -> tuple[str, int]:
         return emit_report(report, args.json), 0
     if cmd == "lemma2":
         if args.action == "scan":
-            report = failure_scan(args.e, args.max, threads=args.threads)
+            report = failure_scan(args.e, args.max)
             return emit_report(report, args.json), 0
         if args.action == "pair":
             witness = exists_pair(args.m, args.e)
@@ -374,7 +374,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     try:
         if args.threads < 1:
             raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
-        # scans and surveys start one OS thread per requested worker
+        # surveys start one OS thread per requested worker
         args.threads = min(args.threads, os.cpu_count() or 1)
         if cache_dir:
             output, exit_code = cache_roundtrip(

@@ -27,6 +27,7 @@ from .snf import mat_mul, smith_normal_form
 
 DEFAULT_MAX_CLOSURE = 10 ** 6
 DEFAULT_MAX_POINTS = 10 ** 7
+KERNEL_POINT_BOUND = 2 ** 31  # keeps every kernel matrix product and offset code below 2**63
 
 Matrix = tuple[tuple[int, ...], ...]
 Point = tuple[int, ...]
@@ -289,6 +290,12 @@ def _point_grid(module: GaloisModule) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(module.point_count, module.rank)
 
 
+def _check_kernel_bound(module: GaloisModule) -> None:
+    if module.point_count > KERNEL_POINT_BOUND:
+        raise ResourceCapError(
+            f"{module.name}: {module.point_count} points overflow int64 difference codes")
+
+
 def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     """The difference-set test on an (n, k) block of points: True where not a.r.
 
@@ -301,8 +308,7 @@ def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     Repeated codes are harmless.  Exact integer arithmetic throughout.
     """
     total = module.point_count
-    if total > 2 ** 31:  # keeps every matrix product and offset code below 2**63
-        raise ResourceCapError(f"{module.name}: {total} points overflow int64 difference codes")
+    _check_kernel_bound(module)
     pts = np.asarray(pts, dtype=np.int64)
     mats = np.array([a.matrix for a in module.closure], dtype=np.int64)
     s = len(mats)
@@ -348,6 +354,7 @@ def almost_rational_set(module: GaloisModule,
     if total > max_points:
         raise ResourceCapError(
             f"{module.name}: {total} points exceeds the cap {max_points}")
+    _check_kernel_bound(module)  # before _point_grid allocates
     pts = _point_grid(module)
     ar = tuple(map(tuple, pts[~_not_ar_mask(module, pts)].tolist()))
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -488,7 +495,8 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
             relations[i][k + j] = h[i]
     diag, u, uinv = smith_normal_form(relations)
     new_d = [diag[i][i] for i in range(k)]
-    assert all(d >= 1 for d in new_d), "quotient of a finite group must be finite"
+    if any(d < 1 for d in new_d):
+        raise RuntimeError("quotient of a finite group must be finite")
     keep = [i for i in range(k) if new_d[i] > 1]
     if not keep:
         keep = [k - 1]  # trivial quotient, presented as Z/1
@@ -505,7 +513,8 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
         new_gens.append([[conj[i][j] for j in keep] for i in keep])
     qname = name or f"{module.name}/sub{len(span)}"
     qmod = GaloisModule(new_factors, new_gens, name=qname, max_closure=module.max_closure)
-    assert qmod.point_count * len(span) == module.point_count
+    if qmod.point_count * len(span) != module.point_count:
+        raise RuntimeError(f"{qname}: |quotient| * |subgroup| != |module|")
     return QuotientPresentation(qmod, project)
 
 

@@ -1,15 +1,17 @@
 """The unit-pair engine: x + y = 2 with x, y nontrivial e-th power units mod m.
 
 Existence of such a pair for a modulus m is exactly what kills points of
-order m under a homothety-rich Galois action, so this module carries the
-search, the prime-power candidate construction, failure-set scans over ranges
-of m, and diagonal Fermat point counts over prime fields.
+order m under a homothety-rich Galois action (the paper's Lemma 2), so this
+module carries the exhaustive search `exists_pair`, the prime-power candidate
+construction, failure-set scans over ranges of m, and diagonal Fermat point
+counts over prime fields.  A pair exists mod m iff one exists mod some prime
+power exactly dividing m, so scans search prime powers only and build the
+failing composites as coprime products.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +19,7 @@ from .errors import InvalidInputError, ResourceCapError
 from .modarith import is_prime, power_subgroup, primes_in
 
 FERMAT_PRIME_BOUND = 10 ** 6
-PARALLEL_SCAN_THRESHOLD = 10 ** 4
+SCAN_BOUND = 10 ** 7  # failure_scan sieves max_m bytes up front
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,13 @@ class PairWitness:
 class Lemma2Report:
     """Failure set of the pair search over 1..scanned_max for one exponent.
 
-    The empirical C(e) is max(failures); witnesses for the successes are kept
-    only when requested.
+    The empirical C(e) is max(failures); `exists_pair` gives the witness for
+    any m not in the set.
     """
 
     e: int
     scanned_max: int
     failures: tuple[int, ...]
-    witnesses: Optional[dict[int, PairWitness]] = None
 
     def __post_init__(self):
         if any(not 1 <= m <= self.scanned_max for m in self.failures):
@@ -107,18 +108,6 @@ def _root_of(m: int, e: int, value: int) -> Optional[int]:
     return None
 
 
-def _has_pair_units(m: int) -> bool:
-    """Fast e=1 existence check: scan x ascending, y = 2 - x forced."""
-    one = 1 % m
-    for x in range(m):
-        if x == one or math.gcd(x, m) != 1:
-            continue
-        y = (2 - x) % m
-        if y != one and math.gcd(y, m) == 1:
-            return True
-    return False
-
-
 def exists_pair(m: int, e: int) -> Optional[PairWitness]:
     """Exhaustive search over the e-th power subgroup; returns the
     lexicographically smallest (x, y) witness with roots attached."""
@@ -133,51 +122,42 @@ def exists_pair(m: int, e: int) -> Optional[PairWitness]:
             if y != one and math.gcd(y, m) == 1:
                 return PairWitness(m, 1, x, y, u=x, v=y)
         return None
-    powers = power_subgroup(m, e).elements
-    power_set = set(powers)
-    for x in powers:
+    powers = power_subgroup(m, e)
+    for x in powers.elements:
         if x == one:
             continue
         y = (2 - x) % m
-        if y in power_set and y != one:
+        if y in powers and y != one:
             return PairWitness(m, e, x, y, u=_root_of(m, e, x), v=_root_of(m, e, y))
     return None
 
 
-def _pair_exists(m: int, e: int) -> bool:
-    if e == 1:
-        return _has_pair_units(m)
-    return exists_pair(m, e) is not None
+def failure_scan(e: int, max_m: int, threads: int = 1) -> Lemma2Report:
+    """All m <= max_m with no unit pair for exponent e, ascending.
 
-
-def _scan_chunk(e: int, lo: int, hi: int) -> list[int]:
-    return [m for m in range(lo, hi + 1) if not _pair_exists(m, e)]
-
-
-def failure_scan(e: int, max_m: int, threads: int = 1,
-                 keep_witnesses: bool = False) -> Lemma2Report:
-    """All m <= max_m with no unit pair for exponent e.
-
-    The range is partitioned across workers above the single-thread
-    threshold; chunks merge in order, so results are independent of the
-    thread count.
+    Lemma (CRT): (Z/m)^* is the product of the (Z/q)^* over the prime powers
+    q = p^k exactly dividing m, e-th powers are taken componentwise, and
+    x + y = 2 gives x = 1 mod q iff y = 1 mod q.  So m has a pair iff some
+    such q has one, and the failures are exactly the products of pairwise
+    coprime failing prime powers (1 being the empty product).  Only the prime
+    powers are searched, by the exhaustive `exists_pair`.  `threads` is
+    accepted for compatibility and ignored.
     """
     if e < 1 or max_m < 1:
         raise InvalidInputError(f"failure_scan: bad parameters {(e, max_m)}")
-    if threads > 1 and max_m > PARALLEL_SCAN_THRESHOLD:
-        chunk = (max_m + threads - 1) // threads
-        ranges = [(lo, min(lo + chunk - 1, max_m)) for lo in range(1, max_m + 1, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _scan_chunk(e, r[0], r[1]), ranges))
-        failures = [m for part in parts for m in part]
-    else:
-        failures = _scan_chunk(e, 1, max_m)
-    witnesses = None
-    if keep_witnesses:
-        failure_set = set(failures)
-        witnesses = {m: exists_pair(m, e) for m in range(1, max_m + 1)
-                     if m not in failure_set}
-    return Lemma2Report(e, max_m, tuple(failures), witnesses)
+    if max_m > SCAN_BOUND:
+        raise ResourceCapError(f"failure_scan: max {max_m} exceeds bound {SCAN_BOUND}")
+    failures = [1]
+    for p in primes_in(2, max_m):
+        failing = []
+        q = p
+        while q <= max_m:
+            if exists_pair(q, e) is None:
+                failing.append(q)
+            q *= p
+        # every m so far is a product of primes below p, so coprime to q
+        failures += [m * q for m in failures for q in failing if m * q <= max_m]
+    return Lemma2Report(e, max_m, tuple(sorted(failures)))
 
 
 def prime_power_witness(p: int, n: int, e: int) -> PrimePowerWitness:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidInputError
 
@@ -67,8 +68,12 @@ class UnitSet:
         if any(not 0 <= x < m or math.gcd(x, m) != 1 for x in elems):
             raise InvalidInputError(f"UnitSet elements must be units mod {m}")
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.elements)
+
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        return x in self._members
 
 
 def factorize(m: int) -> Factorization:
@@ -125,7 +130,8 @@ def _primitive_root_mod_odd_prime_power(p: int, k: int) -> int:
         if all(pow(cand, phi_p // q, p) != 1 for q in prime_divs):
             g = cand
             break
-    assert g is not None, f"no primitive root mod {p}"
+    if g is None:
+        raise RuntimeError(f"no primitive root mod {p}")
     if k == 1:
         return g
     # g lifts to a generator mod p^k unless g^(p-1) = 1 mod p^2; then g+p works.

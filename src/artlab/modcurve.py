@@ -93,7 +93,8 @@ def genus_x0(N: int) -> int:
         nu2 = 1 + jacobi_symbol(-1, N)
         nu3 = 1 + jacobi_symbol(-3, N)
     twelve_g = N + 1 - 3 * nu2 - 4 * nu3
-    assert twelve_g % 12 == 0, f"genus formula must be integral at N={N}"
+    if twelve_g % 12 != 0:
+        raise RuntimeError(f"genus formula must be integral at N={N}")
     return twelve_g // 12
 
 

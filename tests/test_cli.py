@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from artlab import cli
+from artlab import cli, lemma2
 from artlab.cli import dispatch, emit_report, cache_roundtrip
 from artlab.galmod import almost_rational_set, cyclotomic_module
 from artlab.lemma2 import failure_scan
@@ -96,16 +96,24 @@ class TestExitCodes:
     def test_thread_count_clamped_to_cpu_count(self, capsys, monkeypatch):
         seen = []
 
-        def fake_scan(e, max_m, threads=1):
+        def fake_survey(start, stop, threads=1, **caps):
             seen.append(threads)
-            return failure_scan(e, max_m)
+            return []
 
-        monkeypatch.setattr(cli, "failure_scan", fake_scan)
+        monkeypatch.setattr(cli, "survey", fake_survey)
         for requested in ("1", "1000000"):
-            code, _, _ = run(capsys, "lemma2", "scan", "--e", "1", "--max", "10",
+            code, _, _ = run(capsys, "survey", "--from", "23", "--to", "60",
                              "--threads", requested)
             assert code == 0
         assert seen == [1, os.cpu_count() or 1]
+
+    def test_scan_bound_exit(self, capsys, monkeypatch):
+        def no_sieve(lo, hi):
+            raise AssertionError("sieved past the scan bound")
+
+        monkeypatch.setattr(lemma2, "primes_in", no_sieve)
+        code, out, err = run(capsys, "lemma2", "scan", "--e", "1", "--max", "10000001")
+        assert code == 3 and out == "" and err.startswith("artlab:") and "bound" in err
 
 
 class TestAnalyze:
@@ -143,6 +151,13 @@ class TestAnalyze:
         path.write_text(json.dumps(desc))
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and "(2,1)" in err
+
+    def test_oversized_module_is_a_resource_cap(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"factors": [18446744073709551616], "galois": []}))
+        code, out, err = run(capsys, "analyze", str(path),
+                             "--max-points", "100000000000000000000000")
+        assert code == 3 and out == "" and err.startswith("artlab:")
 
 
 class TestHumanOutput:

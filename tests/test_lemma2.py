@@ -91,15 +91,12 @@ class TestFailureScan:
         short = failure_scan(2, 17).failures
         assert tuple(m for m in full if m <= 17) == short
 
-    def test_threads_do_not_change_results(self):
-        a = failure_scan(1, 15000, threads=1)
-        b = failure_scan(1, 15000, threads=4)
-        assert a == b
-
-    def test_witness_collection(self):
-        rep = failure_scan(1, 12, keep_witnesses=True)
-        assert set(rep.witnesses) == {4, 5, 7, 8, 9, 10, 11, 12}
-        assert all((w.x + w.y - 2) % m == 0 for m, w in rep.witnesses.items())
+    @pytest.mark.parametrize("e, max_m", [(1, 3000), (2, 1000), (3, 1000), (4, 800),
+                                          (5, 800), (6, 800), (12, 600)])
+    def test_matches_exhaustive_search(self, e, max_m):
+        # the scan searches prime powers only; the oracle searches every m
+        expected = tuple(m for m in range(1, max_m + 1) if exists_pair(m, e) is None)
+        assert failure_scan(e, max_m).failures == expected
 
     def test_crt_consistency(self):
         # a pair at one prime-power part lifts to the whole modulus

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,12 @@ class TestPowerSubgroup:
     def test_modulus_one_uses_zero_for_the_unit(self):
         assert power_subgroup(1, 5).elements == (0,)
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 12, 16, 45])
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_membership_matches_elements(self, m, e):
+        s = power_subgroup(m, e)
+        assert all((x in s) == (x in s.elements) for x in range(m))
+
     @given(st.integers(min_value=2, max_value=400), st.integers(min_value=1, max_value=6))
     @settings(max_examples=150)
     def test_closed_under_multiplication_and_has_one(self, m, e):
@@ -197,3 +204,15 @@ class TestPrimesHelpers:
         assert primes_in(23, 31) == [23, 29, 31]
         assert primes_in(24, 28) == []
         assert primes_in(10, 5) == []
+
+
+class TestSympyOracle:
+    @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=200)
+    def test_primes_in_matches_primerange(self, lo, hi):
+        assert primes_in(lo, hi) == list(sympy.primerange(lo, hi + 1))
+
+    @given(st.integers(min_value=1, max_value=10 ** 10))
+    @settings(max_examples=300)
+    def test_factorize_matches_factorint(self, m):
+        assert factorize(m).factors == tuple(sorted(sympy.factorint(m).items()))

@@ -37,7 +37,9 @@ from .galmod import (
     validate_module,
 )
 from .lemma2 import (
+    FermatCount,
     Lemma2Report,
+    PairReport,
     PairWitness,
     PrimePowerWitness,
     WeilThreshold,
@@ -51,6 +53,7 @@ from .modcurve import (
     EisensteinModel,
     LevelInvariants,
     SurveyRecord,
+    SurveyReport,
     eisenstein_model,
     eisenstein_number,
     genus_x0,

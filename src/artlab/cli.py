@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 from .errors import InvalidInputError, ResourceCapError
 from .galmod import (
-    ARTReport,
     DEFAULT_MAX_CLOSURE,
     DEFAULT_MAX_POINTS,
     almost_rational_set,
@@ -32,15 +31,14 @@ from .galmod import (
     validate_module,
 )
 from .lemma2 import (
-    Lemma2Report,
-    PairWitness,
-    PrimePowerWitness,
+    FermatCount,
+    PairReport,
     count_fermat_points,
     exists_pair,
     failure_scan,
     prime_power_witness,
 )
-from .modcurve import LevelInvariants, SurveyRecord, level_invariants, survey, theorem3_check
+from .modcurve import SurveyReport, level_invariants, survey, theorem3_check
 
 CACHE_ENV_VAR = "ARTLAB_CACHE_DIR"
 
@@ -49,148 +47,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _point_list(points) -> list[list[int]]:
-    return [list(p) for p in points]
-
-
-def _fmt_point(p) -> str:
-    return "(" + ",".join(str(c) for c in p) + ")"
-
-
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def emit_report(report, as_json: bool) -> str:
-    """Serialize a report; JSON mode emits one object per line (one line per
-    level for a survey), otherwise an aligned human-readable block."""
-    if isinstance(report, ARTReport):
-        if as_json:
-            return _dumps({
-                "name": report.name,
-                "points": report.points,
-                "ar_points": _point_list(report.ar_points),
-                "expected": None if report.expected is None else _point_list(report.expected),
-                "verdict": report.verdict,
-                "ms": 0,
-            }) + "\n"
-        lines = [
-            f"name    : {report.name}",
-            f"points  : {report.points}",
-            f"a.r.    : {len(report.ar_points)} point(s)",
-            "          " + " ".join(_fmt_point(p) for p in report.ar_points),
-        ]
-        if report.expected is not None:
-            lines.append(f"expected: {len(report.expected)} point(s)")
-        lines.append(f"verdict : {report.verdict}")
-        lines.append("ms      : 0")
-        return "\n".join(lines) + "\n"
-
-    if isinstance(report, Lemma2Report):
-        if as_json:
-            return _dumps({
-                "e": report.e,
-                "max": report.scanned_max,
-                "failures": list(report.failures),
-            }) + "\n"
-        failures = " ".join(str(m) for m in report.failures) or "-"
-        return (f"e       : {report.e}\n"
-                f"max     : {report.scanned_max}\n"
-                f"failures: {failures}\n")
-
-    if isinstance(report, LevelInvariants):
-        if as_json:
-            return _dumps(_level_obj(report)) + "\n"
-        return (f"N               : {report.N}\n"
-                f"n               : {report.n}\n"
-                f"genus           : {report.genus}\n"
-                f"hyperelliptic   : {_bool(report.hyperelliptic)}\n"
-                f"plus_genus_zero : {_bool(report.plus_quotient_genus_zero)}\n"
-                f"N_mod_9         : {report.N_mod_9}\n"
-                f"three_div_n     : {_bool(report.three_divides_n)}\n")
-
-    if isinstance(report, list) and all(isinstance(r, SurveyRecord) for r in report):
-        if not report:
-            return ""
-        if as_json:
-            lines = []
-            for rec in report:
-                obj = _level_obj(rec.level)
-                obj["verdict"] = rec.report.verdict
-                lines.append(_dumps(obj))
-            return "\n".join(lines) + "\n"
-        header = f"{'N':>5} {'n':>5} {'genus':>5} {'hyper':>5} {'plus0':>5} {'N%9':>3} {'3|n':>5} verdict"
-        rows = [header]
-        for rec in report:
-            lv = rec.level
-            rows.append(
-                f"{lv.N:>5} {lv.n:>5} {lv.genus:>5} "
-                f"{_bool(lv.hyperelliptic):>5} {_bool(lv.plus_quotient_genus_zero):>5} "
-                f"{lv.N_mod_9:>3} {_bool(lv.three_divides_n):>5} {rec.report.verdict}")
-        return "\n".join(rows) + "\n"
-
-    if isinstance(report, PrimePowerWitness):
-        if as_json:
-            obj = {
-                "p": report.p, "n": report.n, "e": report.e, "k": report.k,
-                "candidate_x": report.candidate_x, "candidate_y": report.candidate_y,
-                "identity_x": report.identity_x, "identity_y": report.identity_y,
-                "fallback": report.used_fallback,
-                "found": report.witness is not None,
-            }
-            if report.witness is not None:
-                obj.update(x=report.witness.x, y=report.witness.y,
-                           u=report.witness.u, v=report.witness.v)
-            return _dumps(obj) + "\n"
-        w = report.witness
-        found = (f"x={w.x} y={w.y} u={w.u} v={w.v}" if w is not None
-                 else "no pair exists")
-        return (f"p^n     : {report.p}^{report.n}  e={report.e}  k={report.k}\n"
-                f"candidate x={report.candidate_x} y={report.candidate_y} "
-                f"(identity_x={_bool(report.identity_x)}, identity_y={_bool(report.identity_y)})\n"
-                f"fallback: {_bool(report.used_fallback)}\n"
-                f"result  : {found}\n")
-
-    if isinstance(report, (PairWitness, _NoPair)):
-        if isinstance(report, _NoPair):
-            if as_json:
-                return _dumps({"m": report.m, "e": report.e, "found": False}) + "\n"
-            return f"m={report.m} e={report.e}: no pair\n"
-        if as_json:
-            return _dumps({"m": report.m, "e": report.e, "found": True,
-                           "x": report.x, "y": report.y,
-                           "u": report.u, "v": report.v}) + "\n"
-        return (f"m={report.m} e={report.e}: x={report.x} y={report.y} "
-                f"(u={report.u}, v={report.v})\n")
-
-    if isinstance(report, _FermatCount):
-        if as_json:
-            return _dumps({"e": report.e, "p": report.p, "count": report.count}) + "\n"
-        return f"e={report.e} p={report.p}: {report.count} solution(s)\n"
-
-    raise TypeError(f"emit_report: unsupported report type {type(report)!r}")
-
-
-def _level_obj(lv: LevelInvariants) -> dict:
-    return {
-        "N": lv.N,
-        "n": lv.n,
-        "genus": lv.genus,
-        "hyperelliptic": lv.hyperelliptic,
-        "plus_genus_zero": lv.plus_quotient_genus_zero,
-        "N_mod_9": lv.N_mod_9,
-        "three_div_n": lv.three_divides_n,
-    }
-
-
-class _NoPair:
-    def __init__(self, m: int, e: int):
-        self.m, self.e = m, e
-
-
-class _FermatCount:
-    def __init__(self, e: int, p: int, count: int):
-        self.e, self.p, self.count = e, p, count
+    """Serialize a report via its to_text() or to_json(); JSON mode writes one
+    compact object per line, one line per element when to_json() is a list."""
+    if not (hasattr(report, "to_json") and hasattr(report, "to_text")):
+        raise TypeError(f"emit_report: unsupported report type {type(report)!r}")
+    if not as_json:
+        return report.to_text()
+    obj = report.to_json()
+    return "".join(_dumps(o) + "\n" for o in (obj if isinstance(obj, list) else [obj]))
 
 
 def cache_roundtrip(cache_dir: str, key_params: dict,
@@ -295,10 +160,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_command(args) -> tuple[str, int]:
-    """Compute (output text, exit code) for parsed arguments."""
+def _run_command(args):
+    """Compute the report for parsed arguments (argparse admits only known commands)."""
     cmd = args.command
-    if cmd == "analyze":
+    if cmd == "lemma2":
+        if args.action == "scan":
+            return failure_scan(args.e, args.max)
+        if args.action == "pair":
+            return PairReport(args.m, args.e, exists_pair(args.m, args.e))
+        if args.action == "count":
+            return FermatCount(args.e, args.p, count_fermat_points(args.e, args.p))
+        return prime_power_witness(args.p, args.n, args.e)
+    if cmd == "level":
+        return level_invariants(args.N)
+    if cmd == "theorem3":
+        return theorem3_check(args.N, max_closure=args.max_closure, max_points=args.max_points)
+    if cmd == "survey":
+        return SurveyReport(tuple(survey(args.start, args.stop, threads=args.threads,
+                                         max_closure=args.max_closure,
+                                         max_points=args.max_points)))
+    if cmd == "mu":
+        module = cyclotomic_module(args.n, max_closure=args.max_closure)
+    elif cmd == "homothety":
+        module = homothety_module(args.m, args.e, args.dim, max_closure=args.max_closure)
+    else:  # analyze
         try:
             with open(args.module_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -307,43 +192,13 @@ def _run_command(args) -> tuple[str, int]:
         except ValueError as exc:
             raise InvalidInputError(f"module file is not valid JSON: {exc}") from exc
         module = validate_module(raw, max_closure=args.max_closure)
-        report = almost_rational_set(module, max_points=args.max_points)
-        return emit_report(report, args.json), 0
-    if cmd == "mu":
-        module = cyclotomic_module(args.n, max_closure=args.max_closure)
-        report = almost_rational_set(module, max_points=args.max_points)
-        return emit_report(report, args.json), 0
-    if cmd == "homothety":
-        module = homothety_module(args.m, args.e, args.dim, max_closure=args.max_closure)
-        report = almost_rational_set(module, max_points=args.max_points)
-        return emit_report(report, args.json), 0
-    if cmd == "lemma2":
-        if args.action == "scan":
-            report = failure_scan(args.e, args.max)
-            return emit_report(report, args.json), 0
-        if args.action == "pair":
-            witness = exists_pair(args.m, args.e)
-            report = witness if witness is not None else _NoPair(args.m, args.e)
-            return emit_report(report, args.json), 0
-        if args.action == "count":
-            count = count_fermat_points(args.e, args.p)
-            return emit_report(_FermatCount(args.e, args.p, count), args.json), 0
-        if args.action == "witness":
-            report = prime_power_witness(args.p, args.n, args.e)
-            return emit_report(report, args.json), 0
-        raise InvalidInputError(f"unknown lemma2 action {args.action!r}")
-    if cmd == "level":
-        return emit_report(level_invariants(args.N), args.json), 0
-    if cmd == "theorem3":
-        report = theorem3_check(args.N, max_closure=args.max_closure,
-                                max_points=args.max_points)
-        return emit_report(report, args.json), 0 if report.verdict == "pass" else 1
-    if cmd == "survey":
-        records = survey(args.start, args.stop, threads=args.threads,
-                         max_closure=args.max_closure, max_points=args.max_points)
-        ok = all(r.report.verdict == "pass" and r.side_condition_ok for r in records)
-        return emit_report(records, args.json), 0 if ok else 1
-    raise InvalidInputError(f"unknown subcommand {cmd!r}")
+    return almost_rational_set(module, max_points=args.max_points)
+
+
+def _output(args) -> tuple[str, int]:
+    """(output text, exit code): 1 when a theorem3 or survey verdict fails."""
+    report = _run_command(args)
+    return emit_report(report, args.json), int(getattr(report, "verdict", "") == "fail")
 
 
 def _source_digest() -> str:
@@ -378,9 +233,9 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         args.threads = min(args.threads, os.cpu_count() or 1)
         if cache_dir:
             output, exit_code = cache_roundtrip(
-                cache_dir, _cache_key(args), lambda: _run_command(args))
+                cache_dir, _cache_key(args), lambda: _output(args))
         else:
-            output, exit_code = _run_command(args)
+            output, exit_code = _output(args)
     except InvalidInputError as exc:
         print(f"artlab: {exc}", file=sys.stderr)
         return 2

@@ -62,6 +62,24 @@ class ARTReport:
         if not ok:
             raise InvalidInputError("ARTReport verdict inconsistent with its point sets")
 
+    def to_json(self) -> dict:
+        """The JSON object; "ms" is pinned to 0 so output is deterministic."""
+        return {"name": self.name, "points": self.points, "ar_points": self.ar_points,
+                "expected": self.expected, "verdict": self.verdict, "ms": 0}
+
+    def to_text(self) -> str:
+        lines = [
+            f"name    : {self.name}",
+            f"points  : {self.points}",
+            f"a.r.    : {len(self.ar_points)} point(s)",
+            "          " + " ".join(
+                "(" + ",".join(map(str, p)) + ")" for p in self.ar_points),
+        ]
+        if self.expected is not None:
+            lines.append(f"expected: {len(self.expected)} point(s)")
+        lines += [f"verdict : {self.verdict}", "ms      : 0"]
+        return "\n".join(lines) + "\n"
+
 
 @dataclass(frozen=True)
 class Lemma4Audit:
@@ -220,12 +238,17 @@ class GaloisModule:
         return f"GaloisModule({self.name}: factors={self.factors}, gens={len(self.generators)})"
 
 
+def _all_ints(values) -> bool:
+    return all(type(v) is int for v in values)  # excludes bool, a subclass of int
+
+
 def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisModule:
     """Build a GaloisModule from a parsed module-description object.
 
     Expected fields: "name" (string), "factors" (array of ints), "galois"
     (array of k x k matrices; each either k rows of k ints or a flat
-    row-major list of k*k ints).
+    row-major list of k*k ints).  Every factor and matrix entry must be a
+    JSON integer: floats, strings, null and booleans are rejected.
     """
     if not isinstance(raw, dict):
         raise InvalidInputError("module description must be a JSON object")
@@ -235,8 +258,8 @@ def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> Galois
         galois = raw.get("galois", [])
     except KeyError as exc:
         raise InvalidInputError(f"module description missing field {exc}") from exc
-    if not isinstance(factors, (list, tuple)):
-        raise InvalidInputError("'factors' must be an array of integers")
+    if not isinstance(factors, (list, tuple)) or not _all_ints(factors):
+        raise InvalidInputError(f"'factors' must be an array of integers, got {factors!r}")
     if not isinstance(galois, (list, tuple)):
         raise InvalidInputError("'galois' must be an array of matrices")
     k = len(factors)
@@ -245,12 +268,15 @@ def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> Galois
         if not isinstance(m, (list, tuple)):
             raise InvalidInputError(f"'galois[{idx}]' must be a matrix")
         if m and isinstance(m[0], (list, tuple)):
-            mats.append(m)
+            rows = m
         else:
             if len(m) != k * k:
                 raise InvalidInputError(
                     f"'galois[{idx}]' flat matrix needs {k * k} entries, got {len(m)}")
-            mats.append([m[i * k:(i + 1) * k] for i in range(k)])
+            rows = [m[i * k:(i + 1) * k] for i in range(k)]
+        if not all(isinstance(row, (list, tuple)) and _all_ints(row) for row in rows):
+            raise InvalidInputError(f"'galois[{idx}]' entries must be integers, got {m!r}")
+        mats.append(rows)
     return GaloisModule(factors, mats, name=str(name), max_closure=max_closure)
 
 
@@ -284,8 +310,15 @@ def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
     return True
 
 
-def _point_grid(module: GaloisModule) -> np.ndarray:
-    """Every point as one row of an (n, k) int64 array, in module.points() order."""
+def _point_grid(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+    """Every point as one row of an (n, k) int64 array, in module.points() order.
+
+    The point cap and the kernel bound are checked before anything is allocated.
+    """
+    if module.point_count > max_points:
+        raise ResourceCapError(
+            f"{module.name}: {module.point_count} points exceeds the cap {max_points}")
+    _check_kernel_bound(module)
     grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in module.factors), indexing="ij")
     return np.stack(grids, axis=-1).reshape(module.point_count, module.rank)
 
@@ -351,11 +384,7 @@ def almost_rational_set(module: GaloisModule,
     against an expected subgroup."""
     t0 = time.perf_counter()
     total = module.point_count
-    if total > max_points:
-        raise ResourceCapError(
-            f"{module.name}: {total} points exceeds the cap {max_points}")
-    _check_kernel_bound(module)  # before _point_grid allocates
-    pts = _point_grid(module)
+    pts = _point_grid(module, max_points)
     ar = tuple(map(tuple, pts[~_not_ar_mask(module, pts)].tolist()))
     elapsed = (time.perf_counter() - t0) * 1000.0
     if expected is None:
@@ -570,7 +599,8 @@ def halving_exclusion(module: GaloisModule, p: Point,
 
 
 def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
-    """Points fixed by the entire closure (the rational points of the model)."""
+    """Points fixed by the entire closure (the rational points of the model);
+    capped at DEFAULT_MAX_POINTS points."""
     pts = _point_grid(module)
     keep = np.ones(len(pts), dtype=bool)
     for g in module.generators:

@@ -73,6 +73,52 @@ class Lemma2Report:
         if list(self.failures) != sorted(self.failures):
             raise InvalidInputError("Lemma2Report: failures must be sorted")
 
+    def to_json(self) -> dict:
+        return {"e": self.e, "max": self.scanned_max, "failures": self.failures}
+
+    def to_text(self) -> str:
+        failures = " ".join(map(str, self.failures)) or "-"
+        return f"e       : {self.e}\nmax     : {self.scanned_max}\nfailures: {failures}\n"
+
+
+def _found_fields(w: Optional[PairWitness]) -> dict:
+    """"found", then the witness's x, y, u, v when there is one."""
+    if w is None:
+        return {"found": False}
+    return {"found": True, "x": w.x, "y": w.y, "u": w.u, "v": w.v}
+
+
+@dataclass(frozen=True)
+class PairReport:
+    """Outcome of `exists_pair(m, e)`: the smallest witness, or None."""
+
+    m: int
+    e: int
+    witness: Optional[PairWitness]
+
+    def to_json(self) -> dict:
+        return {"m": self.m, "e": self.e, **_found_fields(self.witness)}
+
+    def to_text(self) -> str:
+        w = self.witness
+        found = "no pair" if w is None else f"x={w.x} y={w.y} (u={w.u}, v={w.v})"
+        return f"m={self.m} e={self.e}: {found}\n"
+
+
+@dataclass(frozen=True)
+class FermatCount:
+    """Number of (x, y) in F_p^2 with x^e + y^e = 2."""
+
+    e: int
+    p: int
+    count: int
+
+    def to_json(self) -> dict:
+        return {"e": self.e, "p": self.p, "count": self.count}
+
+    def to_text(self) -> str:
+        return f"e={self.e} p={self.p}: {self.count} solution(s)\n"
+
 
 @dataclass(frozen=True)
 class PrimePowerWitness:
@@ -96,6 +142,23 @@ class PrimePowerWitness:
     identity_y: bool
     used_fallback: bool
     witness: Optional[PairWitness]
+
+    def to_json(self) -> dict:
+        return {"p": self.p, "n": self.n, "e": self.e, "k": self.k,
+                "candidate_x": self.candidate_x, "candidate_y": self.candidate_y,
+                "identity_x": self.identity_x, "identity_y": self.identity_y,
+                "fallback": self.used_fallback, **_found_fields(self.witness)}
+
+    def to_text(self) -> str:
+        w = self.witness
+        found = "no pair exists" if w is None else f"x={w.x} y={w.y} u={w.u} v={w.v}"
+        ix, iy, fb = (str(b).lower() for b in
+                      (self.identity_x, self.identity_y, self.used_fallback))
+        return (f"p^n     : {self.p}^{self.n}  e={self.e}  k={self.k}\n"
+                f"candidate x={self.candidate_x} y={self.candidate_y} "
+                f"(identity_x={ix}, identity_y={iy})\n"
+                f"fallback: {fb}\n"
+                f"result  : {found}\n")
 
 
 def _root_of(m: int, e: int, value: int) -> Optional[int]:

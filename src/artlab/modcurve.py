@@ -11,6 +11,7 @@ and the 3-torsion of the mu_n image.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +49,16 @@ class LevelInvariants:
     N_mod_9: int
     three_divides_n: bool
 
+    def to_json(self) -> dict:
+        return {"N": self.N, "n": self.n, "genus": self.genus,
+                "hyperelliptic": self.hyperelliptic,
+                "plus_genus_zero": self.plus_quotient_genus_zero,
+                "N_mod_9": self.N_mod_9, "three_div_n": self.three_divides_n}
+
+    def to_text(self) -> str:
+        """One "key : value" line per JSON field, booleans spelled as in JSON."""
+        return "".join(f"{k:<16}: {json.dumps(v)}\n" for k, v in self.to_json().items())
+
 
 @dataclass(frozen=True)
 class EisensteinModel:
@@ -74,6 +85,31 @@ class SurveyRecord:
     level: LevelInvariants
     report: ARTReport
     side_condition_ok: bool
+
+
+@dataclass(frozen=True)
+class SurveyReport:
+    """The records of one survey, serialized one level per line."""
+
+    records: tuple[SurveyRecord, ...]
+
+    @property
+    def verdict(self) -> str:
+        ok = all(r.report.verdict == "pass" and r.side_condition_ok for r in self.records)
+        return "pass" if ok else "fail"
+
+    def to_json(self) -> list[dict]:
+        return [{**r.level.to_json(), "verdict": r.report.verdict} for r in self.records]
+
+    def to_text(self) -> str:
+        """A header plus one row per level; "" when the survey is empty."""
+        if not self.records:
+            return ""
+        rows = [("N", "n", "genus", "hyper", "plus0", "N%9", "3|n", "verdict")]
+        rows += [(*map(json.dumps, r.level.to_json().values()), r.report.verdict)
+                 for r in self.records]
+        widths = (5, 5, 5, 5, 5, 3, 5, 0)
+        return "".join(" ".join(f"{c:>{w}}" for c, w in zip(row, widths)) + "\n" for row in rows)
 
 
 def eisenstein_number(N: int) -> int:

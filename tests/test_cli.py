@@ -7,7 +7,7 @@ from artlab import cli, lemma2
 from artlab.cli import dispatch, emit_report, cache_roundtrip
 from artlab.galmod import almost_rational_set, cyclotomic_module
 from artlab.lemma2 import failure_scan
-from artlab.modcurve import level_invariants
+from artlab.modcurve import SurveyRecord, level_invariants
 
 
 def run(capsys, *argv):
@@ -52,6 +52,167 @@ class TestGoldenJson:
     def test_empty_survey_emits_nothing(self, capsys):
         code, out, _ = run(capsys, "survey", "--from", "23", "--to", "22", "--json")
         assert code == 0 and out == ""
+
+
+MODULE = {"name": "fused_example", "factors": [4, 2], "galois": [[[1, 0], [1, 1]]]}
+
+# Exact stdout and exit code of every command family, text and --json mode.
+GOLDEN = [
+    (('mu', '12'), 0, (
+        'name    : mu_12\n'
+        'points  : 12\n'
+        'a.r.    : 6 point(s)\n'
+        '          (0) (2) (4) (6) (8) (10)\n'
+        'verdict : not-checked\n'
+        'ms      : 0\n'
+    )),
+    (('mu', '12', '--json'), 0, (
+        '{"name":"mu_12","points":12,"ar_points":[[0],[2],[4],[6],[8],[10]],"expected":null,"verdict":"not-checked","ms":0}\n'
+    )),
+    (('analyze', 'MODULE'), 0, (
+        'name    : fused_example\n'
+        'points  : 8\n'
+        'a.r.    : 4 point(s)\n'
+        '          (0,0) (0,1) (2,0) (2,1)\n'
+        'verdict : not-checked\n'
+        'ms      : 0\n'
+    )),
+    (('analyze', 'MODULE', '--json'), 0, (
+        '{"name":"fused_example","points":8,"ar_points":[[0,0],[0,1],[2,0],[2,1]],"expected":null,"verdict":"not-checked","ms":0}\n'
+    )),
+    (('homothety', '--m', '16', '--e', '2', '--dim', '1'), 0, (
+        'name    : hom_16_e2_d1\n'
+        'points  : 16\n'
+        'a.r.    : 8 point(s)\n'
+        '          (0) (2) (4) (6) (8) (10) (12) (14)\n'
+        'verdict : not-checked\n'
+        'ms      : 0\n'
+    )),
+    (('homothety', '--m', '16', '--e', '2', '--dim', '1', '--json'), 0, (
+        '{"name":"hom_16_e2_d1","points":16,"ar_points":[[0],[2],[4],[6],[8],[10],[12],[14]],"expected":null,"verdict":"not-checked","ms":0}\n'
+    )),
+    (('theorem3', '23'), 0, (
+        'name    : eis_23\n'
+        'points  : 121\n'
+        'a.r.    : 11 point(s)\n'
+        '          (0,0) (1,0) (2,0) (3,0) (4,0) (5,0) (6,0) (7,0) (8,0) (9,0) (10,0)\n'
+        'expected: 11 point(s)\n'
+        'verdict : pass\n'
+        'ms      : 0\n'
+    )),
+    (('theorem3', '23', '--json'), 0, (
+        '{"name":"eis_23","points":121,"ar_points":[[0,0],[1,0],[2,0],[3,0],[4,0],[5,0],[6,0],[7,0],[8,0],[9,0],[10,0]],"expected":[[0,0],[1,0],[2,0],[3,0],[4,0],[5,0],[6,0],[7,0],[8,0],[9,0],[10,0]],"verdict":"pass","ms":0}\n'
+    )),
+    (('level', '37'), 0, (
+        'N               : 37\n'
+        'n               : 3\n'
+        'genus           : 2\n'
+        'hyperelliptic   : true\n'
+        'plus_genus_zero : false\n'
+        'N_mod_9         : 1\n'
+        'three_div_n     : true\n'
+    )),
+    (('level', '37', '--json'), 0, (
+        '{"N":37,"n":3,"genus":2,"hyperelliptic":true,"plus_genus_zero":false,"N_mod_9":1,"three_div_n":true}\n'
+    )),
+    (('survey', '--from', '23', '--to', '41'), 0, (
+        '    N     n genus hyper plus0 N%9   3|n verdict\n'
+        '   23    11     2  true  true   5 false pass\n'
+        '   29     7     2  true  true   2 false pass\n'
+        '   31     5     2  true  true   4 false pass\n'
+        '   37     3     2  true false   1  true pass\n'
+        '   41    10     3  true  true   5 false pass\n'
+    )),
+    (('survey', '--from', '23', '--to', '41', '--json'), 0, (
+        '{"N":23,"n":11,"genus":2,"hyperelliptic":true,"plus_genus_zero":true,"N_mod_9":5,"three_div_n":false,"verdict":"pass"}\n'
+        '{"N":29,"n":7,"genus":2,"hyperelliptic":true,"plus_genus_zero":true,"N_mod_9":2,"three_div_n":false,"verdict":"pass"}\n'
+        '{"N":31,"n":5,"genus":2,"hyperelliptic":true,"plus_genus_zero":true,"N_mod_9":4,"three_div_n":false,"verdict":"pass"}\n'
+        '{"N":37,"n":3,"genus":2,"hyperelliptic":true,"plus_genus_zero":false,"N_mod_9":1,"three_div_n":true,"verdict":"pass"}\n'
+        '{"N":41,"n":10,"genus":3,"hyperelliptic":true,"plus_genus_zero":true,"N_mod_9":5,"three_div_n":false,"verdict":"pass"}\n'
+    )),
+    (('survey', '--from', '23', '--to', '22'), 0, (
+        "")),
+    (('survey', '--from', '23', '--to', '22', '--json'), 0, (
+        "")),
+    (('lemma2', 'scan', '--e', '2', '--max', '40'), 0, (
+        'e       : 2\n'
+        'max     : 40\n'
+        'failures: 1 2 3 4 5 6 7 8 10 12 14 15 20 21 24 28 30 35 40\n'
+    )),
+    (('lemma2', 'scan', '--e', '2', '--max', '40', '--json'), 0, (
+        '{"e":2,"max":40,"failures":[1,2,3,4,5,6,7,8,10,12,14,15,20,21,24,28,30,35,40]}\n'
+    )),
+    (('lemma2', 'count', '--e', '3', '--p', '7'), 0, (
+        'e=3 p=7: 9 solution(s)\n'
+    )),
+    (('lemma2', 'count', '--e', '3', '--p', '7', '--json'), 0, (
+        '{"e":3,"p":7,"count":9}\n'
+    )),
+    (('lemma2', 'witness', '--p', '5', '--n', '2', '--e', '1'), 0, (
+        'p^n     : 5^2  e=1  k=0\n'
+        'candidate x=6 y=21 (identity_x=true, identity_y=true)\n'
+        'fallback: false\n'
+        'result  : x=6 y=21 u=6 v=21\n'
+    )),
+    (('lemma2', 'witness', '--p', '5', '--n', '2', '--e', '1', '--json'), 0, (
+        '{"p":5,"n":2,"e":1,"k":0,"candidate_x":6,"candidate_y":21,"identity_x":true,"identity_y":true,"fallback":false,"found":true,"x":6,"y":21,"u":6,"v":21}\n'
+    )),
+    (('lemma2', 'witness', '--p', '2', '--n', '2', '--e', '2'), 0, (
+        'p^n     : 2^2  e=2  k=1\n'
+        'candidate x=3 y=3 (identity_x=false, identity_y=false)\n'
+        'fallback: true\n'
+        'result  : no pair exists\n'
+    )),
+    (('lemma2', 'witness', '--p', '2', '--n', '2', '--e', '2', '--json'), 0, (
+        '{"p":2,"n":2,"e":2,"k":1,"candidate_x":3,"candidate_y":3,"identity_x":false,"identity_y":false,"fallback":true,"found":false}\n'
+    )),
+    (('lemma2', 'pair', '--m', '16', '--e', '2'), 0, (
+        'm=16 e=2: x=9 y=9 (u=3, v=3)\n'
+    )),
+    (('lemma2', 'pair', '--m', '16', '--e', '2', '--json'), 0, (
+        '{"m":16,"e":2,"found":true,"x":9,"y":9,"u":3,"v":3}\n'
+    )),
+    (('lemma2', 'pair', '--m', '6', '--e', '1'), 0, (
+        'm=6 e=1: no pair\n'
+    )),
+    (('lemma2', 'pair', '--m', '6', '--e', '1', '--json'), 0, (
+        '{"m":6,"e":1,"found":false}\n'
+    )),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv,code,out", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_stdout_and_exit_code(self, tmp_path, capsys, argv, code, out):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(MODULE))
+        argv = [str(path) if a == "MODULE" else a for a in argv]
+        assert run(capsys, *argv)[:2] == (code, out)
+
+    def test_failed_verdicts_exit_1(self, capsys, monkeypatch):
+        fail = almost_rational_set(cyclotomic_module(3), expected=[(0,)])
+        ok = almost_rational_set(cyclotomic_module(3), expected=[(0,), (1,), (2,)])
+        monkeypatch.setattr(cli, "theorem3_check", lambda N, **caps: fail)
+        monkeypatch.setattr(cli, "survey", lambda start, stop, threads=1, **caps:
+                            [SurveyRecord(level_invariants(37), ok, False)])
+        assert run(capsys, "theorem3", "23")[:2] == (1, (
+            "name    : mu_3\n"
+            "points  : 3\n"
+            "a.r.    : 3 point(s)\n"
+            "          (0) (1) (2)\n"
+            "expected: 1 point(s)\n"
+            "verdict : fail\n"
+            "ms      : 0\n"))
+        assert run(capsys, "theorem3", "23", "--json")[:2] == (1, (
+            '{"name":"mu_3","points":3,"ar_points":[[0],[1],[2]],"expected":[[0]],'
+            '"verdict":"fail","ms":0}\n'))
+        # the side condition fails while the structure check passes
+        assert run(capsys, "survey", "--from", "23", "--to", "41")[:2] == (1, (
+            "    N     n genus hyper plus0 N%9   3|n verdict\n"
+            "   37     3     2  true false   1  true pass\n"))
+        assert run(capsys, "survey", "--from", "23", "--to", "41", "--json")[:2] == (1, (
+            '{"N":37,"n":3,"genus":2,"hyperelliptic":true,"plus_genus_zero":false,'
+            '"N_mod_9":1,"three_div_n":true,"verdict":"pass"}\n'))
 
 
 class TestExitCodes:
@@ -151,6 +312,20 @@ class TestAnalyze:
         path.write_text(json.dumps(desc))
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and "(2,1)" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"factors": [5], "galois": [["a"]]}',
+        '{"factors": [5], "galois": [[null]]}',
+        '{"factors": [5], "galois": [[1e400]]}',
+        '{"factors": [5], "galois": [[2.7]]}',
+        '{"factors": [true, 5], "galois": []}',
+    ])
+    def test_non_integer_entries_are_invalid(self, tmp_path, capsys, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == "" and err.startswith("artlab:")
+        assert "integers" in err
 
     def test_oversized_module_is_a_resource_cap(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

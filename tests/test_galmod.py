@@ -24,6 +24,7 @@ from artlab import (
     two_step_unipotents,
     validate_module,
 )
+from artlab import galmod
 from artlab.galmod import _not_ar_mask, _point_grid
 from artlab.modarith import unit_group_generators
 from artlab.snf import smith_normal_form
@@ -507,6 +508,14 @@ class TestElementaryFacts:
             expected = [p for p in m.points()
                         if all(apply_automorphism(m, a, p) == p for a in m.closure)]
             assert list(fixed_points(m)) == expected, m.name
+
+    def test_fixed_points_point_cap(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("allocated a point grid past the cap")
+
+        monkeypatch.setattr(galmod.np, "meshgrid", no_grid)
+        with pytest.raises(ResourceCapError, match="exceeds the cap"):
+            fixed_points(GaloisModule((2 ** 40,), []))
 
     def test_fixed_points_are_ar(self, module_corpus):
         rng = random.Random(23)

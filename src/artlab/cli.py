@@ -21,24 +21,12 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import InvalidInputError, ResourceCapError
-from .galmod import (
+from .errors import (
     DEFAULT_MAX_CLOSURE,
     DEFAULT_MAX_POINTS,
-    almost_rational_set,
-    cyclotomic_module,
-    homothety_module,
-    validate_module,
+    InvalidInputError,
+    ResourceCapError,
 )
-from .lemma2 import (
-    FermatCount,
-    PairReport,
-    count_fermat_points,
-    exists_pair,
-    failure_scan,
-    prime_power_witness,
-)
-from .modcurve import SurveyReport, level_invariants, survey, theorem3_check
 
 CACHE_ENV_VAR = "ARTLAB_CACHE_DIR"
 
@@ -161,9 +149,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args):
-    """Compute the report for parsed arguments (argparse admits only known commands)."""
+    """Compute the report for parsed arguments (argparse admits only known commands).
+
+    Each branch imports the compute module it runs, so a cache hit loads none
+    of them, and `level` and `lemma2` never load numpy.
+    """
     cmd = args.command
     if cmd == "lemma2":
+        from .lemma2 import (FermatCount, PairReport, count_fermat_points, exists_pair,
+                             failure_scan, prime_power_witness)
+
         if args.action == "scan":
             return failure_scan(args.e, args.max)
         if args.action == "pair":
@@ -171,14 +166,19 @@ def _run_command(args):
         if args.action == "count":
             return FermatCount(args.e, args.p, count_fermat_points(args.e, args.p))
         return prime_power_witness(args.p, args.n, args.e)
-    if cmd == "level":
-        return level_invariants(args.N)
-    if cmd == "theorem3":
-        return theorem3_check(args.N, max_closure=args.max_closure, max_points=args.max_points)
-    if cmd == "survey":
+    if cmd in ("level", "theorem3", "survey"):
+        from .modcurve import SurveyReport, level_invariants, survey, theorem3_check
+
+        if cmd == "level":
+            return level_invariants(args.N)
+        if cmd == "theorem3":
+            return theorem3_check(args.N, max_closure=args.max_closure,
+                                  max_points=args.max_points)
         return SurveyReport(tuple(survey(args.start, args.stop, threads=args.threads,
                                          max_closure=args.max_closure,
                                          max_points=args.max_points)))
+    from .galmod import almost_rational_set, cyclotomic_module, homothety_module, validate_module
+
     if cmd == "mu":
         module = cyclotomic_module(args.n, max_closure=args.max_closure)
     elif cmd == "homothety":

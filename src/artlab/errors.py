@@ -1,4 +1,4 @@
-"""Error types shared across the package.
+"""Error types and the default resource caps shared across the package.
 
 Exit-code mapping at the CLI: InvalidInputError -> 2, ResourceCapError -> 3.
 """
@@ -12,3 +12,8 @@ class InvalidInputError(ValueError):
 class ResourceCapError(RuntimeError):
     """Raised when a computation would exceed a configured cap (closure size,
     point count, prime bound).  Fail loudly rather than thrash."""
+
+
+# Defaults of the caps above; here so the CLI parser needs no compute module.
+DEFAULT_MAX_CLOSURE = 10 ** 6
+DEFAULT_MAX_POINTS = 10 ** 7

@@ -13,20 +13,17 @@ production predicate is the difference-set test in one block kernel,
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .errors import InvalidInputError, ResourceCapError
+from .errors import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_POINTS, InvalidInputError, ResourceCapError
 from .modarith import unit_group_generators
 from .snf import mat_mul, smith_normal_form
 
-DEFAULT_MAX_CLOSURE = 10 ** 6
-DEFAULT_MAX_POINTS = 10 ** 7
 KERNEL_POINT_BOUND = 2 ** 31  # keeps every kernel matrix product and offset code below 2**63
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -60,7 +57,7 @@ class ARTReport:
         else:
             ok = self.verdict == ("pass" if set(self.ar_points) == set(self.expected) else "fail")
         if not ok:
-            raise InvalidInputError("ARTReport verdict inconsistent with its point sets")
+            raise RuntimeError("ARTReport verdict inconsistent with its point sets")
 
     def to_json(self) -> dict:
         """The JSON object; "ms" is pinned to 0 so output is deterministic."""
@@ -107,6 +104,18 @@ def _identity_matrix(factors: Sequence[int]) -> Matrix:
         [[1 if i == j else 0 for j in range(k)] for i in range(k)], factors)
 
 
+def _int_tuple(values, label: str) -> tuple[int, ...]:
+    """values as a tuple of Python ints.  Bools and whatever operator.index
+    refuses (floats, strings, None) raise InvalidInputError; numpy integers pass."""
+    try:
+        values = tuple(values)
+        if not any(isinstance(v, bool) for v in values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise InvalidInputError(f"{label} must be integers, got {values!r}")
+
+
 def _check_well_defined(matrix: Matrix, factors: Sequence[int], label: str) -> None:
     k = len(factors)
     for i in range(k):
@@ -122,22 +131,23 @@ def _check_well_defined(matrix: Matrix, factors: Sequence[int], label: str) -> N
 class GaloisModule:
     """⊕_i Z/d_i with a finite automorphism group given by generator matrices.
 
-    Validation happens at construction: every generator must satisfy the
+    Validation happens at construction: factors and matrix entries must be
+    integers (no bool, no float), and every generator must satisfy the
     divisibility condition (d_i / gcd(d_i, d_j)) | A_ij and be invertible.
     The closure is computed lazily, cached, and capped.
     """
 
     def __init__(self, factors: Sequence[int], generators: Iterable[Sequence[Sequence[int]]],
                  name: str = "module", max_closure: int = DEFAULT_MAX_CLOSURE):
-        if not factors or any((not isinstance(d, int)) or d < 1 for d in factors):
+        self.factors: tuple[int, ...] = _int_tuple(factors, f"{name}: factors")
+        if not self.factors or min(self.factors) < 1:
             raise InvalidInputError(f"{name}: factors must be integers >= 1, got {factors!r}")
-        self.factors: tuple[int, ...] = tuple(int(d) for d in factors)
         self.name = name
         self.max_closure = max_closure
         k = len(self.factors)
         gens = []
         for idx, raw in enumerate(generators):
-            mat = tuple(tuple(int(x) for x in row) for row in raw)
+            mat = tuple(_int_tuple(row, f"{name}: generator {idx} entries") for row in raw)
             if len(mat) != k or any(len(row) != k for row in mat):
                 raise InvalidInputError(f"{name}: generator {idx} is not {k}x{k}")
             mat = _reduce_rowwise(mat, self.factors)
@@ -238,10 +248,6 @@ class GaloisModule:
         return f"GaloisModule({self.name}: factors={self.factors}, gens={len(self.generators)})"
 
 
-def _all_ints(values) -> bool:
-    return all(type(v) is int for v in values)  # excludes bool, a subclass of int
-
-
 def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisModule:
     """Build a GaloisModule from a parsed module-description object.
 
@@ -258,7 +264,7 @@ def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> Galois
         galois = raw.get("galois", [])
     except KeyError as exc:
         raise InvalidInputError(f"module description missing field {exc}") from exc
-    if not isinstance(factors, (list, tuple)) or not _all_ints(factors):
+    if not isinstance(factors, (list, tuple)):
         raise InvalidInputError(f"'factors' must be an array of integers, got {factors!r}")
     if not isinstance(galois, (list, tuple)):
         raise InvalidInputError("'galois' must be an array of matrices")
@@ -274,8 +280,6 @@ def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> Galois
                 raise InvalidInputError(
                     f"'galois[{idx}]' flat matrix needs {k * k} entries, got {len(m)}")
             rows = [m[i * k:(i + 1) * k] for i in range(k)]
-        if not all(isinstance(row, (list, tuple)) and _all_ints(row) for row in rows):
-            raise InvalidInputError(f"'galois[{idx}]' entries must be integers, got {m!r}")
         mats.append(rows)
     return GaloisModule(factors, mats, name=str(name), max_closure=max_closure)
 
@@ -315,6 +319,8 @@ def _point_grid(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> n
 
     The point cap and the kernel bound are checked before anything is allocated.
     """
+    import numpy as np
+
     if module.point_count > max_points:
         raise ResourceCapError(
             f"{module.name}: {module.point_count} points exceeds the cap {max_points}")
@@ -340,6 +346,8 @@ def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     lies in D_i; a hit with d != 0 marks p_i as not almost rational.
     Repeated codes are harmless.  Exact integer arithmetic throughout.
     """
+    import numpy as np
+
     total = module.point_count
     _check_kernel_bound(module)
     pts = np.asarray(pts, dtype=np.int64)
@@ -465,7 +473,7 @@ def direct_sum(a: GaloisModule, b: GaloisModule,
 def _as_matrix(m, k: int, label: str) -> Matrix:
     if isinstance(m, Automorphism):
         m = m.matrix
-    mat = tuple(tuple(int(x) for x in row) for row in m)
+    mat = tuple(map(tuple, m))  # entries are checked by GaloisModule
     if len(mat) != k or any(len(row) != k for row in mat):
         raise InvalidInputError(f"direct_sum: {label} is not {k}x{k}")
     return mat
@@ -601,6 +609,8 @@ def halving_exclusion(module: GaloisModule, p: Point,
 def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
     """Points fixed by the entire closure (the rational points of the model);
     capped at DEFAULT_MAX_POINTS points."""
+    import numpy as np
+
     pts = _point_grid(module)
     keep = np.ones(len(pts), dtype=bool)
     for g in module.generators:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from .errors import InvalidInputError
 from .galmod import (
@@ -203,6 +202,8 @@ def survey(start: int, stop: int, threads: int = 1,
         return SurveyRecord(inv, rep, side_ok)
 
     if threads > 1 and len(levels) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, levels))
     return [one(N) for N in levels]

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from artlab import cli, lemma2
+import artlab
+from artlab import cli, lemma2, modcurve
 from artlab.cli import dispatch, emit_report, cache_roundtrip
 from artlab.galmod import almost_rational_set, cyclotomic_module
 from artlab.lemma2 import failure_scan
@@ -192,8 +196,8 @@ class TestGoldenBytes:
     def test_failed_verdicts_exit_1(self, capsys, monkeypatch):
         fail = almost_rational_set(cyclotomic_module(3), expected=[(0,)])
         ok = almost_rational_set(cyclotomic_module(3), expected=[(0,), (1,), (2,)])
-        monkeypatch.setattr(cli, "theorem3_check", lambda N, **caps: fail)
-        monkeypatch.setattr(cli, "survey", lambda start, stop, threads=1, **caps:
+        monkeypatch.setattr(modcurve, "theorem3_check", lambda N, **caps: fail)
+        monkeypatch.setattr(modcurve, "survey", lambda start, stop, threads=1, **caps:
                             [SurveyRecord(level_invariants(37), ok, False)])
         assert run(capsys, "theorem3", "23")[:2] == (1, (
             "name    : mu_3\n"
@@ -261,7 +265,7 @@ class TestExitCodes:
             seen.append(threads)
             return []
 
-        monkeypatch.setattr(cli, "survey", fake_survey)
+        monkeypatch.setattr(modcurve, "survey", fake_survey)
         for requested in ("1", "1000000"):
             code, _, _ = run(capsys, "survey", "--from", "23", "--to", "60",
                              "--threads", requested)
@@ -488,3 +492,48 @@ class TestDeterminism:
         second = run(capsys, *argv)
         threaded = run(capsys, *argv, "--threads", "8")
         assert first == second == threaded
+
+
+class TestImportBudget:
+    """A process imports only what its command runs: numpy and the compute
+    modules stay unloaded where the command does not need them."""
+
+    SCRIPT = ("import json, sys\n"
+              "from artlab import cli\n"
+              "code = cli.dispatch(sys.argv[1:])\n"
+              "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+
+    def loaded(self, *argv):
+        """(stdout, names in sys.modules) of one dispatch in a fresh interpreter."""
+        env = dict(os.environ)
+        env.pop("ARTLAB_CACHE_DIR", None)
+        src = str(Path(artlab.__file__).parent.parent)  # the package under test
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, set(json.loads(proc.stderr.splitlines()[-1]))
+
+    @pytest.mark.parametrize("argv", [
+        ["level", "23"],
+        ["lemma2", "scan", "--e", "2", "--max", "40"],
+        ["lemma2", "pair", "--m", "16", "--e", "2"],
+        ["lemma2", "count", "--e", "3", "--p", "7"],
+        ["lemma2", "witness", "--p", "5", "--n", "2", "--e", "1"],
+    ], ids=" ".join)
+    def test_numpy_free_commands(self, argv):
+        out, modules = self.loaded(*argv)
+        assert out and "numpy" not in modules
+
+    def test_cache_hit_loads_no_compute_module(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        miss, _ = self.loaded("mu", "11", "--json", "--cache-dir", cache)
+        hit, modules = self.loaded("mu", "11", "--json", "--cache-dir", cache)
+        assert hit == miss
+        assert "numpy" not in modules and "artlab.galmod" not in modules
+
+    def test_uncached_mu_loads_numpy(self):
+        # the budget above is not met vacuously: the kernel does need numpy
+        out, modules = self.loaded("mu", "11", "--json")
+        assert out.startswith('{"name":"mu_11"') and "numpy" in modules

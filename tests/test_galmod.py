@@ -1,5 +1,6 @@
 import random
 
+import numpy
 import pytest
 
 from artlab import (
@@ -24,7 +25,6 @@ from artlab import (
     two_step_unipotents,
     validate_module,
 )
-from artlab import galmod
 from artlab.galmod import _not_ar_mask, _point_grid
 from artlab.modarith import unit_group_generators
 from artlab.snf import smith_normal_form
@@ -82,6 +82,31 @@ class TestValidation:
             GaloisModule((0,), [])
         with pytest.raises(InvalidInputError):
             GaloisModule((), [])
+
+    @pytest.mark.parametrize("factors,gens", [
+        ((True, 5), []),
+        ((5.0,), []),
+        (("5",), []),
+        (5, []),
+        ((1, 5), [[[1, 0], [0, 2.7]]]),
+        ((5,), [[[None]]]),
+        ((5,), [[[numpy.True_]]]),
+        ((5,), [[[True]]]),
+        ((2, 2), [[[1, 0], 3]]),  # a row that is not a sequence
+    ])
+    def test_constructor_rejects_bool_and_non_integral_values(self, factors, gens):
+        # bool is an int subclass and int() truncates floats; neither may slip through
+        with pytest.raises(InvalidInputError, match="integers"):
+            GaloisModule(factors, gens)
+
+    def test_constructor_accepts_numpy_integers(self):
+        m = GaloisModule(numpy.array([4, 2]), [numpy.array([[1, 0], [1, 1]], dtype=numpy.int32)])
+        assert m.factors == (4, 2) and m.generators[0].matrix == ((1, 0), (1, 1))
+        assert all(type(x) is int for x in m.factors + m.generators[0].matrix[1])
+
+    def test_direct_sum_rejects_non_integral_pairs(self):
+        with pytest.raises(InvalidInputError, match="integers"):
+            direct_sum(constant_module(5), constant_module(5), pairs=[([[2.0]], None)])
 
 
 class TestClosure:
@@ -196,8 +221,10 @@ class TestEnumeration:
             almost_rational_set(constant_module(100), max_points=99)
 
     def test_report_rejects_inconsistent_verdict(self):
-        with pytest.raises(InvalidInputError):
+        # an internal inconsistency, not invalid input (which would exit 2)
+        with pytest.raises(RuntimeError) as exc:
             ARTReport("x", 3, ((0,),), ((0,), (1,)), "pass", 0.0)
+        assert not isinstance(exc.value, InvalidInputError)
 
     def test_block_kernel_matches_naive_oracle(self):
         mods = [cyclotomic_module(n) for n in (8, 12, 30, 101)]
@@ -513,7 +540,7 @@ class TestElementaryFacts:
         def no_grid(*args, **kwargs):
             raise AssertionError("allocated a point grid past the cap")
 
-        monkeypatch.setattr(galmod.np, "meshgrid", no_grid)
+        monkeypatch.setattr(numpy, "meshgrid", no_grid)
         with pytest.raises(ResourceCapError, match="exceeds the cap"):
             fixed_points(GaloisModule((2 ** 40,), []))
 

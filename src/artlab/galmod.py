@@ -98,12 +98,6 @@ def _reduce_rowwise(matrix: Sequence[Sequence[int]], factors: Sequence[int]) -> 
     )
 
 
-def _identity_matrix(factors: Sequence[int]) -> Matrix:
-    k = len(factors)
-    return _reduce_rowwise(
-        [[1 if i == j else 0 for j in range(k)] for i in range(k)], factors)
-
-
 def _int_tuple(values, label: str) -> tuple[int, ...]:
     """values as a tuple of Python ints.  Bools and whatever operator.index
     refuses (floats, strings, None) raise InvalidInputError; numpy integers pass."""
@@ -134,7 +128,10 @@ class GaloisModule:
     Validation happens at construction: factors and matrix entries must be
     integers (no bool, no float), and every generator must satisfy the
     divisibility condition (d_i / gcd(d_i, d_j)) | A_ij and be invertible.
-    The closure is computed lazily, cached, and capped.
+    Invertibility is read off the Smith normal form of [A | diag(d)]: all of
+    its invariant factors must be 1.  The closure is computed lazily, cached,
+    and capped; a generator whose order exceeds the cap raises on the first
+    closure access, not here.
     """
 
     def __init__(self, factors: Sequence[int], generators: Iterable[Sequence[Sequence[int]]],
@@ -188,7 +185,7 @@ class GaloisModule:
         return math.lcm(*(d // math.gcd(d, a) for a, d in zip(p, self.factors)))
 
     def check_point(self, p: Point) -> Point:
-        p = tuple(int(x) for x in p)
+        p = _int_tuple(p, f"{self.name}: point coordinates")
         if len(p) != len(self.factors) or any(not 0 <= a < d for a, d in zip(p, self.factors)):
             raise InvalidInputError(f"{self.name}: point {p} out of range for factors {self.factors}")
         return p
@@ -196,28 +193,24 @@ class GaloisModule:
     # -- automorphisms --------------------------------------------------
 
     def identity(self) -> Automorphism:
-        return Automorphism(_identity_matrix(self.factors))
+        k = len(self.factors)
+        return Automorphism(_reduce_rowwise(
+            [[1 if i == j else 0 for j in range(k)] for i in range(k)], self.factors))
 
     def compose(self, a: Automorphism, b: Automorphism) -> Automorphism:
         return Automorphism(_reduce_rowwise(mat_mul(a.matrix, b.matrix), self.factors))
 
     def _check_invertible(self, mat: Matrix, idx: int) -> None:
-        ident = _identity_matrix(self.factors)
-        if mat == ident:
-            return
-        seen = {mat}
-        cur = mat
-        for _ in range(self.max_closure + 1):
-            cur = _reduce_rowwise(mat_mul(cur, mat), self.factors)
-            if cur == ident:
-                return
-            if cur in seen:
-                raise InvalidInputError(
-                    f"{self.name}: generator {idx} is not invertible "
-                    f"(its power semigroup never reaches the identity)")
-            seen.add(cur)
-        raise ResourceCapError(
-            f"{self.name}: generator {idx} order exceeds the closure cap {self.max_closure}")
+        # An endomorphism of a finite group is bijective iff it is surjective.
+        # A is onto ⊕ Z/d_i iff the columns of A together with those of diag(d)
+        # span Z^k, i.e. iff every invariant factor of [A | diag(d)] is 1.
+        k = len(self.factors)
+        relations = [list(row) + [d if j == i else 0 for j in range(k)]
+                     for i, (row, d) in enumerate(zip(mat, self.factors))]
+        diag = smith_normal_form(relations)[0]
+        if any(diag[i][i] != 1 for i in range(k)):
+            raise InvalidInputError(
+                f"{self.name}: generator {idx} is not invertible (its image is a proper subgroup)")
 
     @cached_property
     def closure(self) -> tuple[Automorphism, ...]:

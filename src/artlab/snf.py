@@ -1,12 +1,19 @@
 """Integer Smith normal form with row-transform tracking.
 
 Used to re-present a quotient of a finite abelian group in invariant-factor
-coordinates.  Only the row transform U (and its inverse) is needed by callers:
-if U * M * V = D for the relation matrix M of a quotient Z^k / L, then
-y = U x are the new coordinates and the diagonal of D gives their orders.
+coordinates, and to decide whether an endomorphism of one is invertible.
+Only the row transform U (and its inverse) is needed by callers: if
+U * M * V = D for the relation matrix M of a quotient Z^k / L, then y = U x
+are the new coordinates and the diagonal of D gives their orders.
 
-Pivoting always picks the smallest nonzero absolute value, first occurrence,
-so the reduction (and hence the chosen basis) is deterministic.
+One pivot loop does the reduction.  At position t it moves the smallest
+nonzero |entry| of the trailing block (first in row-major order, so the
+chosen basis is deterministic) to (t, t) and clears its row and column.
+If some trailing entry is not divisible by the pivot, that entry's column is
+folded into column t and the loop re-eliminates at the same t.  An
+elimination that does not clear the row and column, like the first one after
+a fold, leaves a nonzero remainder below the pivot, so the pivot at t
+shrinks strictly and the loop ends.
 """
 
 from __future__ import annotations
@@ -29,12 +36,6 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
     u = _identity(rows)
     uinv = _identity(rows)
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
     def row_addmul(dst, src, c):
         # row[dst] += c * row[src]; inverse op applied to uinv columns.
         for t in range(cols):
@@ -44,93 +45,45 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
         for r in uinv:
             r[src] -= c * r[dst]
 
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
     def col_addmul(dst, src, c):
         for r in a:
             r[dst] += c * r[src]
 
-    def col_negate(i):
+    t = 0
+    while t < min(rows, cols):
+        # Smallest |entry| in the trailing block, first occurrence.
+        best, pi, pj = min(((abs(a[i][j]), i, j) for i in range(t, rows)
+                            for j in range(t, cols) if a[i][j]), default=(0, t, t))
+        if not best:
+            break  # the trailing block is zero
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
+        for r in uinv:
+            r[t], r[pi] = r[pi], r[t]
         for r in a:
-            r[i] = -r[i]
-
-    n = min(rows, cols)
-    for t in range(n):
-        while True:
-            # Smallest |entry| in the trailing block, first occurrence.
-            piv = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    v = abs(a[i][j])
-                    if v != 0 and (best is None or v < best):
-                        best, piv = v, (i, j)
-            if piv is None:
-                break
-            pi, pj = piv
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            if a[t][t] < 0:
-                row_negate(t)
-            dirty = False
-            for i in range(t + 1, rows):
-                q = a[i][t] // a[t][t]
-                if q:
-                    row_addmul(i, t, -q)
-                if a[i][t]:
-                    dirty = True
-            for j in range(t + 1, cols):
-                q = a[t][j] // a[t][t]
-                if q:
-                    col_addmul(j, t, -q)
-                if a[t][j]:
-                    dirty = True
-            if not dirty:
-                break
-        # Enforce the divisibility chain: fold any offending later entry in.
-        if t + 1 <= n - 1 and a[t][t] != 0:
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        col_addmul(t, j, 1)
-                        # Restart elimination at this pivot position.
-                        break
-                else:
-                    continue
-                break
-    # A single fold may reintroduce off-diagonal entries; iterate to fixpoint.
-    if not _is_snf(a, rows, cols):
-        d2, u2, u2inv = smith_normal_form(a)
-        u = mat_mul(u2, u)
-        uinv = mat_mul(uinv, u2inv)
-        a = d2
+            r[t], r[pj] = r[pj], r[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+            for r in uinv:
+                r[t] = -r[t]
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            if a[i][t] // p:
+                row_addmul(i, t, -(a[i][t] // p))
+        for j in range(t + 1, cols):
+            if a[t][j] // p:
+                col_addmul(j, t, -(a[t][j] // p))
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][j] for j in range(t + 1, cols)):
+            continue  # a remainder below p is left: pivot again at t
+        # Divisibility chain: fold the first offending column into column t.
+        fold = next((j for i in range(t + 1, rows) for j in range(t + 1, cols)
+                     if a[i][j] % p), None)
+        if fold is None:
+            t += 1
+        else:
+            col_addmul(t, fold, 1)
     return a, u, uinv
-
-
-def _is_snf(a, rows, cols) -> bool:
-    for i in range(rows):
-        for j in range(cols):
-            if i != j and a[i][j] != 0:
-                return False
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    if any(d < 0 for d in diag):
-        return False
-    for x, y in zip(diag, diag[1:]):
-        if x == 0 and y != 0:
-            return False
-        if x != 0 and y % x != 0:
-            return False
-    return True
 
 
 def mat_mul(a, b) -> list[list[int]]:

@@ -29,35 +29,42 @@ MAX_CORPUS_POINTS = 10 ** 4
 MAX_CORPUS_CLOSURE = 10 ** 3
 
 
+def random_well_defined_matrix(rng, factors):
+    """A random well-defined endomorphism matrix for the given factors; it may
+    or may not be invertible."""
+    k = len(factors)
+    style = rng.randrange(4)
+    mat = [[0] * k for _ in range(k)]
+    if style == 3:
+        # scalar by a unit of lcm(factors); always well-defined
+        m = math.lcm(*factors)
+        units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+        c = rng.choice(units)
+        for i in range(k):
+            mat[i][i] = c % factors[i]
+        return mat
+    for i in range(k):
+        for j in range(k):
+            req = factors[i] // math.gcd(factors[i], factors[j])
+            multiples = factors[i] // req
+            if style == 1 and j > i:
+                mat[i][j] = 0
+            elif style == 2 and j < i:
+                mat[i][j] = 0
+            else:
+                mat[i][j] = req * rng.randrange(multiples)
+    if style in (1, 2):
+        # unit diagonal keeps triangular candidates invertible
+        for i in range(k):
+            units = [u for u in range(factors[i]) if math.gcd(u, factors[i]) == 1]
+            mat[i][i] = rng.choice(units) if units else 0
+    return mat
+
+
 def _random_generator_matrix(rng, factors):
     """A valid (well-defined, invertible) matrix for the given factors, or None."""
-    k = len(factors)
     for _ in range(30):
-        style = rng.randrange(4)
-        mat = [[0] * k for _ in range(k)]
-        if style == 3:
-            # scalar by a unit of lcm(factors); always well-defined
-            m = math.lcm(*factors)
-            units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
-            c = rng.choice(units)
-            for i in range(k):
-                mat[i][i] = c % factors[i]
-        else:
-            for i in range(k):
-                for j in range(k):
-                    req = factors[i] // math.gcd(factors[i], factors[j])
-                    multiples = factors[i] // req
-                    if style == 1 and j > i:
-                        mat[i][j] = 0
-                    elif style == 2 and j < i:
-                        mat[i][j] = 0
-                    else:
-                        mat[i][j] = req * rng.randrange(multiples)
-            if style in (1, 2):
-                # unit diagonal keeps triangular candidates invertible
-                for i in range(k):
-                    units = [u for u in range(factors[i]) if math.gcd(u, factors[i]) == 1]
-                    mat[i][i] = rng.choice(units) if units else 0
+        mat = random_well_defined_matrix(rng, factors)
         try:
             GaloisModule(factors, [mat], max_closure=MAX_CORPUS_CLOSURE)
         except (InvalidInputError, ResourceCapError):

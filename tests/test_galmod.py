@@ -2,6 +2,11 @@ import random
 
 import numpy
 import pytest
+import sympy
+from conftest import random_well_defined_matrix
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from artlab import (
     ARTReport,
@@ -26,8 +31,27 @@ from artlab import (
     validate_module,
 )
 from artlab.galmod import _not_ar_mask, _point_grid
-from artlab.modarith import unit_group_generators
-from artlab.snf import smith_normal_form
+from artlab.modarith import primes_in, unit_group_generators
+from artlab.modcurve import eisenstein_number
+from artlab.snf import mat_mul, smith_normal_form
+
+
+def _power_loop_reaches_identity(mat, factors):
+    """Independent oracle: A is invertible iff some power A^j, j >= 1, is the identity."""
+    k = len(factors)
+
+    def reduce(m):
+        return tuple(tuple(x % d for x in row) for row, d in zip(m, factors))
+
+    ident = reduce([[int(i == j) for j in range(k)] for i in range(k)])
+    cur, seen = reduce(mat), set()
+    while cur not in seen:
+        if cur == ident:
+            return True
+        seen.add(cur)
+        cur = reduce([[sum(cur[i][l] * mat[l][j] for l in range(k)) for j in range(k)]
+                      for i in range(k)])
+    return False
 
 
 class TestValidation:
@@ -50,14 +74,48 @@ class TestValidation:
     def test_non_invertible_generator_rejected(self):
         with pytest.raises(InvalidInputError, match="not invertible"):
             GaloisModule((4,), [[[2]]])
+        # 2 mod 202 = (0 mod 2, 2 mod 101) cycles with period 100, never reaching 1;
+        # it is rejected as invalid however small the closure cap
+        with pytest.raises(InvalidInputError, match="not invertible"):
+            GaloisModule((202,), [[[2]]], max_closure=10)
 
     def test_entries_reduced_rowwise(self):
         m = GaloisModule((4, 2), [[[7, 0], [5, 3]]])
         assert m.generators[0].matrix == ((3, 0), (1, 1))
 
     def test_closure_cap_raises_resource_error(self):
-        with pytest.raises(ResourceCapError):
-            cyclotomic_module(101, max_closure=10).closure
+        # a generator of order 100 passes validation; the cap applies to the closure
+        for m in (cyclotomic_module(101, max_closure=10),
+                  GaloisModule((101,), [[[2]]], max_closure=10)):
+            with pytest.raises(ResourceCapError, match="closure exceeds cap"):
+                m.closure
+
+    def test_invertibility_matches_power_loop_oracle(self):
+        rng = random.Random(17)
+        accepted_count = 0
+        for _ in range(2000):
+            factors = tuple(rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20))
+                            for _ in range(rng.choice((1, 2, 2, 3))))
+            mat = random_well_defined_matrix(rng, factors)
+            try:
+                GaloisModule(factors, [mat], max_closure=1)
+                accepted = True
+            except InvalidInputError:
+                accepted = False
+            assert accepted == _power_loop_reaches_identity(mat, factors), (factors, mat)
+            accepted_count += accepted
+        assert 0 < accepted_count < 2000
+
+    @pytest.mark.parametrize("call", ["check_point", "is_almost_rational", "subgroup_span"])
+    @pytest.mark.parametrize("point", [(2.9,), (4.5,), (True,)], ids=str)
+    def test_points_must_be_integers(self, call, point):
+        # int() would truncate the float and accept the bool
+        m = cyclotomic_module(12)
+        run = {"check_point": lambda: m.check_point(point),
+               "is_almost_rational": lambda: is_almost_rational(m, point),
+               "subgroup_span": lambda: subgroup_span(m, [point])}[call]
+        with pytest.raises(InvalidInputError, match="integers"):
+            run()
 
     def test_validate_module_from_description(self):
         raw = {"name": "fused", "factors": [4, 2], "galois": [[[1, 0], [1, 1]]]}
@@ -430,6 +488,31 @@ class TestSmithNormalForm:
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+
+    @given(st.integers(1, 4).flatmap(lambda rows: st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(-60, 60), min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))))
+    @example([[2, 0], [0, 3]])
+    @example([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    @settings(max_examples=300, deadline=None)
+    def test_diagonal_matches_sympy(self, mat):
+        d, u, uinv = smith_normal_form(mat)
+        ref = sympy_smith_normal_form(sympy.Matrix(mat), domain=sympy.ZZ)
+        n = min(len(mat), len(mat[0]))
+        assert [d[i][i] for i in range(n)] == [abs(ref[i, i]) for i in range(n)]
+        assert mat_mul(u, uinv) == [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
+
+    def test_eisenstein_relation_basis_is_pinned(self):
+        # the theorem3 and survey goldens print points in this basis
+        checked = 0
+        for N in primes_in(2, 2003):
+            n = eisenstein_number(N)
+            if n % 2 == 0:
+                d, u, uinv = smith_normal_form([[n, 0, n // 2], [0, n, n // 2]])
+                assert d == [[n // 2, 0, 0], [0, n, 0]], N
+                assert (u, uinv) == ([[1, 0], [-1, 1]], [[1, 0], [1, 1]]), N
+                checked += 1
+        assert checked == 68  # even n among the primes up to 2003
 
     def test_column_lattice_preserved(self):
         rng = random.Random(5)

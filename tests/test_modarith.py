@@ -216,3 +216,21 @@ class TestSympyOracle:
     @settings(max_examples=300)
     def test_factorize_matches_factorint(self, m):
         assert factorize(m).factors == tuple(sorted(sympy.factorint(m).items()))
+
+    @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           st.integers(min_value=0, max_value=10 ** 6).map(lambda h: 2 * h + 1))
+    @settings(max_examples=300)
+    def test_jacobi_symbol_matches_sympy(self, a, m):
+        assert jacobi_symbol(a, m) == sympy.jacobi_symbol(a, m)
+
+    @given(st.integers(min_value=1, max_value=10 ** 9))
+    @settings(max_examples=300)
+    def test_euler_phi_matches_totient(self, m):
+        assert euler_phi(m) == sympy.totient(m)
+
+    @given(st.sampled_from(primes_in(3, 1000)), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200)
+    def test_odd_prime_power_generator_is_primitive_root(self, p, k):
+        q = p ** k
+        (g,) = unit_group_generators(q)
+        assert sympy.n_order(g, q) == sympy.totient(q)

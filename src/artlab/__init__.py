@@ -18,7 +18,7 @@ _EXPORTS = {
         "jacobi_symbol", "power_subgroup", "unit_group_generators",
     ),
     "galmod": (
-        "ARTReport", "Automorphism", "GaloisModule", "Lemma4Audit", "almost_rational_set",
+        "ARTReport", "GaloisModule", "Lemma4Audit", "almost_rational_set",
         "apply_automorphism", "constant_module", "cyclotomic_module", "direct_sum",
         "fixed_points", "halving_exclusion", "homothety_module", "is_almost_rational",
         "is_almost_rational_naive", "lemma4_audit", "quotient_by",

@@ -229,8 +229,6 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     try:
         if args.threads < 1:
             raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
-        # surveys start one OS thread per requested worker
-        args.threads = min(args.threads, os.cpu_count() or 1)
         if cache_dir:
             output, exit_code = cache_roundtrip(
                 cache_dir, _cache_key(args), lambda: _output(args))

@@ -3,6 +3,8 @@ machinery that runs over them.
 
 A module is a finite abelian group ⊕_i Z/d_i together with a finite group of
 automorphisms given by integer matrices acting on column coordinate vectors.
+Every automorphism is a plain `Matrix` (a tuple of row tuples) with row i
+reduced mod d_i, so equal automorphisms are equal tuples.
 A point p is almost rational when sigma(p) - p = p - tau(p) forces
 sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
 difference set {sigma(p) - p} meets its own negation only in 0.  The
@@ -28,16 +30,6 @@ KERNEL_POINT_BOUND = 2 ** 31  # keeps every kernel matrix product and offset cod
 
 Matrix = tuple[tuple[int, ...], ...]
 Point = tuple[int, ...]
-
-
-@dataclass(frozen=True, order=True)
-class Automorphism:
-    """A group automorphism as a k x k integer matrix, rows reduced mod d_i."""
-
-    matrix: Matrix
-
-    def __repr__(self):
-        return f"Automorphism({list(map(list, self.matrix))})"
 
 
 @dataclass(frozen=True)
@@ -150,8 +142,8 @@ class GaloisModule:
             mat = _reduce_rowwise(mat, self.factors)
             _check_well_defined(mat, self.factors, f"{name}: generator {idx}")
             self._check_invertible(mat, idx)
-            gens.append(Automorphism(mat))
-        self.generators: tuple[Automorphism, ...] = tuple(gens)
+            gens.append(mat)
+        self.generators: tuple[Matrix, ...] = tuple(gens)
 
     # -- group structure on points ------------------------------------
 
@@ -192,13 +184,13 @@ class GaloisModule:
 
     # -- automorphisms --------------------------------------------------
 
-    def identity(self) -> Automorphism:
+    def identity(self) -> Matrix:
         k = len(self.factors)
-        return Automorphism(_reduce_rowwise(
-            [[1 if i == j else 0 for j in range(k)] for i in range(k)], self.factors))
+        return _reduce_rowwise(
+            [[1 if i == j else 0 for j in range(k)] for i in range(k)], self.factors)
 
-    def compose(self, a: Automorphism, b: Automorphism) -> Automorphism:
-        return Automorphism(_reduce_rowwise(mat_mul(a.matrix, b.matrix), self.factors))
+    def compose(self, a: Matrix, b: Matrix) -> Matrix:
+        return _reduce_rowwise(mat_mul(a, b), self.factors)
 
     def _check_invertible(self, mat: Matrix, idx: int) -> None:
         # An endomorphism of a finite group is bijective iff it is surjective.
@@ -213,21 +205,20 @@ class GaloisModule:
                 f"{self.name}: generator {idx} is not invertible (its image is a proper subgroup)")
 
     @cached_property
-    def closure(self) -> tuple[Automorphism, ...]:
+    def closure(self) -> tuple[Matrix, ...]:
         """The full automorphism group generated by the generators, sorted.
 
         Breadth-first products; identity always included; raises when the
         group would exceed max_closure.
         """
         ident = self.identity()
-        seen = {ident.matrix}
-        queue = [ident.matrix]
-        gen_mats = [g.matrix for g in self.generators]
+        seen = {ident}
+        queue = [ident]
         while queue:
             nxt = []
             for m in queue:
-                for g in gen_mats:
-                    prod_m = _reduce_rowwise(mat_mul(m, g), self.factors)
+                for g in self.generators:
+                    prod_m = self.compose(m, g)
                     if prod_m not in seen:
                         seen.add(prod_m)
                         if len(seen) > self.max_closure:
@@ -235,7 +226,7 @@ class GaloisModule:
                                 f"{self.name}: closure exceeds cap {self.max_closure}")
                         nxt.append(prod_m)
             queue = nxt
-        return tuple(Automorphism(m) for m in sorted(seen))
+        return tuple(sorted(seen))
 
     def __repr__(self):
         return f"GaloisModule({self.name}: factors={self.factors}, gens={len(self.generators)})"
@@ -277,11 +268,11 @@ def validate_module(raw: dict, max_closure: int = DEFAULT_MAX_CLOSURE) -> Galois
     return GaloisModule(factors, mats, name=str(name), max_closure=max_closure)
 
 
-def apply_automorphism(module: GaloisModule, a: Automorphism, p: Point) -> Point:
+def apply_automorphism(module: GaloisModule, a: Matrix, p: Point) -> Point:
     """Coordinate i of the image is sum_j A_ij * c_j mod d_i."""
     return tuple(
         sum(row[j] * p[j] for j in range(len(p))) % d
-        for row, d in zip(a.matrix, module.factors)
+        for row, d in zip(a, module.factors)
     )
 
 
@@ -344,10 +335,10 @@ def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     total = module.point_count
     _check_kernel_bound(module)
     pts = np.asarray(pts, dtype=np.int64)
-    mats = np.array([a.matrix for a in module.closure], dtype=np.int64)
+    mats = np.array(module.closure, dtype=np.int64)
     s = len(mats)
     bad = np.zeros(len(pts), dtype=bool)
-    chunk = max(1024, 4_000_000 // s)
+    chunk = max(1, 4_000_000 // s)  # at most max(4e6, s) codes per haystack
     for start in range(0, len(pts), chunk):
         block = pts[start:start + chunk]
         c = len(block)
@@ -439,8 +430,8 @@ def direct_sum(a: GaloisModule, b: GaloisModule,
     common quotient.
     """
     if pairs is None:
-        pairs = [(g.matrix, None) for g in a.generators]
-        pairs += [(None, g.matrix) for g in b.generators]
+        pairs = [(g, None) for g in a.generators]
+        pairs += [(None, g) for g in b.generators]
     ka, kb = a.rank, b.rank
     gens = []
     for idx, pair in enumerate(pairs):
@@ -448,24 +439,16 @@ def direct_sum(a: GaloisModule, b: GaloisModule,
             raise InvalidInputError(
                 f"direct_sum: pairing entry {idx} has {len(pair)} components, expected 2")
         left, right = pair
-        left = a.identity().matrix if left is None else _as_matrix(left, ka, f"pair {idx} left")
-        right = b.identity().matrix if right is None else _as_matrix(right, kb, f"pair {idx} right")
-        block = [[0] * (ka + kb) for _ in range(ka + kb)]
-        for i in range(ka):
-            for j in range(ka):
-                block[i][j] = left[i][j]
-        for i in range(kb):
-            for j in range(kb):
-                block[ka + i][ka + j] = right[i][j]
-        gens.append(block)
+        left = a.identity() if left is None else _as_matrix(left, ka, f"pair {idx} left")
+        right = b.identity() if right is None else _as_matrix(right, kb, f"pair {idx} right")
+        gens.append([list(row) + [0] * kb for row in left]
+                    + [[0] * ka + list(row) for row in right])
     return GaloisModule(a.factors + b.factors, gens,
                         name=name or f"{a.name}+{b.name}",
                         max_closure=max(a.max_closure, b.max_closure))
 
 
 def _as_matrix(m, k: int, label: str) -> Matrix:
-    if isinstance(m, Automorphism):
-        m = m.matrix
     mat = tuple(map(tuple, m))  # entries are checked by GaloisModule
     if len(mat) != k or any(len(row) != k for row in mat):
         raise InvalidInputError(f"direct_sum: {label} is not {k}x{k}")
@@ -500,20 +483,23 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     """Present module/⟨sub⟩ in invariant-factor coordinates.
 
     `sub` lists the elements of the subgroup (zero may be omitted); every
-    closure element must map each listed point back into the list, otherwise
-    the offending automorphism is named.  The new basis comes from the Smith
+    generator must map each listed point back into the list, otherwise the
+    offending generator is named.  The new basis comes from the Smith
     normal form of the relation matrix [diag(d) | sub]; the induced action is
     U A U^{-1} restricted to the nontrivial coordinates.
     """
     sub_pts = [module.check_point(p) for p in sub]
     candidate = set(sub_pts) | {module.zero()}
-    for a in module.closure:
+    # A finite set that each generator maps into itself is mapped into itself
+    # by every product of generators, and so by the whole closure: checking
+    # the generators suffices, and the parent's closure is never built.
+    for g in module.generators:
         for h in sub_pts:
-            img = apply_automorphism(module, a, h)
+            img = apply_automorphism(module, g, h)
             if img not in candidate:
                 raise InvalidInputError(
-                    f"{module.name}: subgroup not Galois-stable; automorphism "
-                    f"{list(map(list, a.matrix))} sends {h} to {img}, "
+                    f"{module.name}: subgroup not Galois-stable; generator "
+                    f"{list(map(list, g))} sends {h} to {img}, "
                     f"which is not in the subgroup")
     span = subgroup_span(module, sub_pts)
     k = module.rank
@@ -539,7 +525,7 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
 
     new_gens = []
     for g in module.generators:
-        conj = mat_mul(mat_mul(u, g.matrix), uinv)
+        conj = mat_mul(mat_mul(u, g), uinv)
         new_gens.append([[conj[i][j] for j in keep] for i in keep])
     qname = name or f"{module.name}/sub{len(span)}"
     qmod = GaloisModule(new_factors, new_gens, name=qname, max_closure=module.max_closure)
@@ -557,12 +543,12 @@ def quotient_by(module: GaloisModule, sub: Sequence[Point],
 # -- lemma audits --------------------------------------------------------
 
 
-def two_step_unipotents(module: GaloisModule) -> tuple[Automorphism, ...]:
+def two_step_unipotents(module: GaloisModule) -> tuple[Matrix, ...]:
     """All closure elements with (sigma - 1)^2 = 0 as an endomorphism."""
     k = module.rank
     out = []
     for a in module.closure:
-        m = [[a.matrix[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
+        m = [[a[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
         sq = mat_mul(m, m)
         if all(sq[i][j] % module.factors[i] == 0 for i in range(k) for j in range(k)):
             out.append(a)
@@ -577,20 +563,21 @@ def lemma4_audit(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> 
     for a in unipotents:
         for p in ar:
             if apply_automorphism(module, a, p) != p:
-                violations.append((a.matrix, p))
+                violations.append((a, p))
     return Lemma4Audit(module.name, len(unipotents), len(ar), tuple(violations))
 
 
 def halving_exclusion(module: GaloisModule, p: Point,
-                      subgroup: Sequence[Automorphism]) -> bool:
+                      subgroup: Sequence[Sequence[Sequence[int]]]) -> bool:
     """True when some sigma in the subgroup fixes 2p but moves p; such a point
-    cannot be almost rational."""
+    cannot be almost rational.  Each element may be any k x k nested sequence."""
     p = module.check_point(p)
+    subgroup = [tuple(map(tuple, a)) for a in subgroup]
     closure_set = set(module.closure)
     for a in subgroup:
         if a not in closure_set:
             raise InvalidInputError(
-                f"{module.name}: automorphism {list(map(list, a.matrix))} is not in the closure")
+                f"{module.name}: automorphism {list(map(list, a))} is not in the closure")
     two_p = module.add(p, p)
     for a in subgroup:
         if (apply_automorphism(module, a, two_p) == two_p
@@ -607,5 +594,5 @@ def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
     pts = _point_grid(module)
     keep = np.ones(len(pts), dtype=bool)
     for g in module.generators:
-        keep &= ((pts @ np.array(g.matrix, dtype=np.int64).T) % module.factors == pts).all(axis=1)
+        keep &= ((pts @ np.array(g, dtype=np.int64).T) % module.factors == pts).all(axis=1)
     return tuple(map(tuple, pts[keep].tolist()))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from .errors import InvalidInputError
 from .galmod import (
@@ -189,7 +190,8 @@ def survey(start: int, stop: int, threads: int = 1,
 
     Also verifies the genus-zero-quotient side condition: every such level
     must have 3 not dividing n.  Records come back ordered by N regardless of
-    the worker count.
+    the worker count.  The pool starts at most min(threads, levels, CPUs) OS
+    threads.
     """
     if not is_prime(start) or start < 23:
         raise InvalidInputError(f"survey: start must be a prime >= 23, got {start}")
@@ -201,9 +203,10 @@ def survey(start: int, stop: int, threads: int = 1,
         side_ok = (not inv.plus_quotient_genus_zero) or (not inv.three_divides_n)
         return SurveyRecord(inv, rep, side_ok)
 
-    if threads > 1 and len(levels) > 1:
+    workers = min(threads, len(levels), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, levels))
     return [one(N) for N in levels]

@@ -258,19 +258,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "mu", "11", "--threads", "0")
         assert code == 2 and "--threads" in err
 
-    def test_thread_count_clamped_to_cpu_count(self, capsys, monkeypatch):
-        seen = []
-
-        def fake_survey(start, stop, threads=1, **caps):
-            seen.append(threads)
-            return []
-
-        monkeypatch.setattr(modcurve, "survey", fake_survey)
+    def test_thread_count_clamped_to_cpu_count(self, capsys, fake_pool):
         for requested in ("1", "1000000"):
             code, _, _ = run(capsys, "survey", "--from", "23", "--to", "60",
                              "--threads", requested)
             assert code == 0
-        assert seen == [1, os.cpu_count() or 1]
+        assert fake_pool == [2]  # --threads 1 builds no pool; the CPU count caps the rest
 
     def test_scan_bound_exit(self, capsys, monkeypatch):
         def no_sieve(lo, hi):

@@ -57,7 +57,7 @@ def _power_loop_reaches_identity(mat, factors):
 class TestValidation:
     def test_rank_one_unit_scalar_is_valid(self):
         m = GaloisModule((5,), [[[2]]])
-        assert m.generators[0].matrix == ((2,),)
+        assert m.generators[0] == ((2,),)
 
     def test_divisibility_condition_4_2(self):
         # (d2/gcd(d2,d1)) = 2/2 = 1 divides the (2,1) entry, so this is fine
@@ -81,7 +81,7 @@ class TestValidation:
 
     def test_entries_reduced_rowwise(self):
         m = GaloisModule((4, 2), [[[7, 0], [5, 3]]])
-        assert m.generators[0].matrix == ((3, 0), (1, 1))
+        assert m.generators[0] == ((3, 0), (1, 1))
 
     def test_closure_cap_raises_resource_error(self):
         # a generator of order 100 passes validation; the cap applies to the closure
@@ -125,7 +125,7 @@ class TestValidation:
     def test_validate_module_flat_row_major(self):
         raw = {"name": "flat", "factors": [4, 2], "galois": [[1, 0, 1, 1]]}
         m = validate_module(raw)
-        assert m.generators[0].matrix == ((1, 0), (1, 1))
+        assert m.generators[0] == ((1, 0), (1, 1))
 
     def test_validate_module_bad_shapes(self):
         with pytest.raises(InvalidInputError):
@@ -159,8 +159,8 @@ class TestValidation:
 
     def test_constructor_accepts_numpy_integers(self):
         m = GaloisModule(numpy.array([4, 2]), [numpy.array([[1, 0], [1, 1]], dtype=numpy.int32)])
-        assert m.factors == (4, 2) and m.generators[0].matrix == ((1, 0), (1, 1))
-        assert all(type(x) is int for x in m.factors + m.generators[0].matrix[1])
+        assert m.factors == (4, 2) and m.generators[0] == ((1, 0), (1, 1))
+        assert all(type(x) is int for x in m.factors + m.generators[0][1])
 
     def test_direct_sum_rejects_non_integral_pairs(self):
         with pytest.raises(InvalidInputError, match="integers"):
@@ -182,7 +182,7 @@ class TestClosure:
     def test_closure_is_deterministic_and_contains_identity(self):
         m = cyclotomic_module(16)
         again = cyclotomic_module(16)
-        assert [a.matrix for a in m.closure] == [a.matrix for a in again.closure]
+        assert m.closure == again.closure
         assert m.identity() in m.closure
         assert list(m.closure) == sorted(m.closure)
 
@@ -204,7 +204,7 @@ class TestApply:
 
     def test_multiplication_by_three_mod_7(self):
         m = cyclotomic_module(7)
-        three = next(a for a in m.closure if a.matrix == ((3,),))
+        three = next(a for a in m.closure if a == ((3,),))
         assert apply_automorphism(m, three, (2,)) == (6,)
 
     def test_mixed_factor_matrix_vector_product(self):
@@ -319,6 +319,28 @@ class TestEnumeration:
         for idx in range(boundary - 16, boundary + 16):
             assert (not bad[idx]) == is_almost_rational(m, points[idx]), points[idx]
 
+    def test_chunk_bounds_haystack_when_closure_is_large(self, monkeypatch):
+        # 13,200 automorphisms: one chunk of all 363 points would sort 4,791,600
+        # codes, past the 4e6 budget, so the kernel must split the points
+        gl = GaloisModule((11, 11), [[[2, 0], [0, 1]], [[10, 1], [10, 0]]])
+        m = direct_sum(gl, constant_module(3))
+        s = len(m.closure)
+        assert s == 13_200 and m.point_count * s > 4_000_000
+        haystacks = []
+        searchsorted = numpy.searchsorted
+
+        def spy(a, v, *args, **kwargs):
+            haystacks.append(len(a))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(numpy, "searchsorted", spy)
+        bad = _not_ar_mask(m, _point_grid(m))
+        assert len(haystacks) > 1
+        assert max(haystacks) <= max(4_000_000, s)
+        points = list(m.points())
+        for idx in random.Random(5).sample(range(len(points)), 12):
+            assert (not bad[idx]) == is_almost_rational(m, points[idx]), points[idx]
+
 
 class TestConstructors:
     def test_cyclotomic_trivial(self):
@@ -327,11 +349,11 @@ class TestConstructors:
 
     def test_cyclotomic_7_uses_chosen_primitive_root(self):
         m = cyclotomic_module(7)
-        assert [g.matrix for g in m.generators] == [((unit_group_generators(7)[0],),)]
+        assert m.generators == (((unit_group_generators(7)[0],),),)
 
     def test_cyclotomic_8_two_generators(self):
         m = cyclotomic_module(8)
-        assert [g.matrix[0][0] for g in m.generators] == [7, 5]
+        assert [g[0][0] for g in m.generators] == [7, 5]
 
     def test_constant_has_no_generators(self):
         assert constant_module(11).generators == ()
@@ -339,15 +361,15 @@ class TestConstructors:
 
     def test_homothety_examples(self):
         assert len(homothety_module(5, 1, 2).closure) == 4
-        squares = sorted(a.matrix[0][0] for a in homothety_module(16, 2, 1).closure)
+        squares = sorted(a[0][0] for a in homothety_module(16, 2, 1).closure)
         assert squares == [1, 9]
         assert len(homothety_module(2, 1, 3).closure) == 1
 
     def test_homothety_generators_are_scalar(self):
         m = homothety_module(9, 2, 3)
         for g in m.generators:
-            c = g.matrix[0][0]
-            assert g.matrix == tuple(
+            c = g[0][0]
+            assert g == tuple(
                 tuple(c if i == j else 0 for j in range(3)) for i in range(3))
 
 
@@ -401,6 +423,16 @@ class TestSubgroupAndQuotient:
     def test_non_stable_subgroup_names_the_automorphism(self):
         with pytest.raises(InvalidInputError, match="not Galois-stable"):
             quotient_by(cyclotomic_module(5), [(1,)])
+
+    def test_non_stable_subgroup_names_the_generator(self):
+        with pytest.raises(InvalidInputError, match=r"generator \[\[2\]\] sends \(1,\) to \(2,\)"):
+            quotient_by(cyclotomic_module(5), [(1,)])
+
+    def test_quotient_never_builds_the_parent_closure(self):
+        base = direct_sum(constant_module(10), cyclotomic_module(10))
+        q = quotient_by(base, [(5, 5)])
+        assert "closure" not in vars(base)
+        assert q.point_count == 50 and len(q.closure) == 4
 
     def test_projection_is_a_surjective_homomorphism(self):
         base = direct_sum(constant_module(10), cyclotomic_module(10))
@@ -581,7 +613,7 @@ class TestLemma4Audit:
 
     def test_mu8_unipotents_and_fixing(self):
         m = cyclotomic_module(8)
-        unis = sorted(a.matrix[0][0] for a in two_step_unipotents(m))
+        unis = sorted(a[0][0] for a in two_step_unipotents(m))
         assert unis == [1, 5]  # (5-1)^2 = 16 = 0 mod 8
         audit = lemma4_audit(m)
         assert audit.passed and audit.ar_count == 2
@@ -591,7 +623,7 @@ class TestLemma4Audit:
 class TestHalvingExclusion:
     def test_mu8_order_eight_point(self):
         m = cyclotomic_module(8)
-        five = next(a for a in m.closure if a.matrix == ((5,),))
+        five = next(a for a in m.closure if a == ((5,),))
         assert halving_exclusion(m, (1,), [five]) is True
         assert not is_almost_rational(m, (1,))
 
@@ -601,13 +633,20 @@ class TestHalvingExclusion:
 
     def test_mu3_multiplication_by_two(self):
         m = cyclotomic_module(3)
-        two = next(a for a in m.closure if a.matrix == ((2,),))
+        two = next(a for a in m.closure if a == ((2,),))
         assert halving_exclusion(m, (1,), [two]) is False
+
+    def test_accepts_list_of_lists(self):
+        m = cyclotomic_module(8)
+        assert halving_exclusion(m, (1,), [[[5]]]) is True
+        assert halving_exclusion(m, (1,), [[[1]], [[3]]]) is False
+        with pytest.raises(InvalidInputError, match=r"\[\[2\]\] is not in the closure"):
+            halving_exclusion(m, (1,), [[[2]]])
 
     def test_rejects_foreign_automorphism(self):
         m = cyclotomic_module(8)
         other = cyclotomic_module(5)
-        foreign = next(a for a in other.closure if a.matrix == ((2,),))
+        foreign = next(a for a in other.closure if a == ((2,),))
         with pytest.raises(InvalidInputError):
             halving_exclusion(m, (1,), [foreign])
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from artlab import (
@@ -164,6 +166,15 @@ class TestSurvey:
         b = survey(23, 80, threads=8)
         assert [r.level.N for r in a] == [r.level.N for r in b]
         assert [r.report.ar_points for r in a] == [r.report.ar_points for r in b]
+
+    def test_pool_bounded_by_cpus_and_levels(self, fake_pool, monkeypatch):
+        assert [r.level.N for r in survey(23, 60, threads=10 ** 6)] == primes_in(23, 60)
+        survey(23, 23, threads=8)  # one level: no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        survey(23, 29, threads=8)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        survey(23, 29, threads=8)  # an unknown CPU count means one worker
+        assert fake_pool == [2, 2]
 
     def test_rejects_bad_start(self):
         with pytest.raises(InvalidInputError):

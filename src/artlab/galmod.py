@@ -34,22 +34,19 @@ Point = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ARTReport:
-    """Result of enumerating the almost-rational points of one module."""
+    """Almost-rational points of one module; the verdict derives from the point sets."""
 
     name: str
     points: int
     ar_points: tuple[Point, ...]
     expected: Optional[tuple[Point, ...]]
-    verdict: str  # "pass" | "fail" | "not-checked"
     elapsed_ms: float
 
-    def __post_init__(self):
+    @property
+    def verdict(self) -> str:  # "pass" | "fail" | "not-checked"
         if self.expected is None:
-            ok = self.verdict == "not-checked"
-        else:
-            ok = self.verdict == ("pass" if set(self.ar_points) == set(self.expected) else "fail")
-        if not ok:
-            raise RuntimeError("ARTReport verdict inconsistent with its point sets")
+            return "not-checked"
+        return "pass" if set(self.ar_points) == set(self.expected) else "fail"
 
     def to_json(self) -> dict:
         """The JSON object; "ms" is pinned to 0 so output is deterministic."""
@@ -112,6 +109,22 @@ def _check_well_defined(matrix: Matrix, factors: Sequence[int], label: str) -> N
                     f"{label}: entry ({i + 1},{j + 1})={matrix[i][j]} must be divisible "
                     f"by {req} = d_{i + 1}/gcd(d_{i + 1}, d_{j + 1}) to define a "
                     f"homomorphism on Z/{factors[j]} -> Z/{factors[i]}")
+
+
+def _generate(start, gens, op, cap: int, overflow_message: str) -> tuple:
+    """Everything reachable from start by x -> op(x, g), g in gens, sorted; breadth-first,
+    raising ResourceCapError(overflow_message) once more than cap elements are found."""
+    seen = {start}
+    queue = [start]
+    for x in queue:  # the queue grows while it is read
+        for g in gens:
+            y = op(x, g)
+            if y not in seen:
+                seen.add(y)
+                if len(seen) > cap:
+                    raise ResourceCapError(overflow_message)
+                queue.append(y)
+    return tuple(sorted(seen))
 
 
 class GaloisModule:
@@ -206,27 +219,10 @@ class GaloisModule:
 
     @cached_property
     def closure(self) -> tuple[Matrix, ...]:
-        """The full automorphism group generated by the generators, sorted.
-
-        Breadth-first products; identity always included; raises when the
-        group would exceed max_closure.
-        """
-        ident = self.identity()
-        seen = {ident}
-        queue = [ident]
-        while queue:
-            nxt = []
-            for m in queue:
-                for g in self.generators:
-                    prod_m = self.compose(m, g)
-                    if prod_m not in seen:
-                        seen.add(prod_m)
-                        if len(seen) > self.max_closure:
-                            raise ResourceCapError(
-                                f"{self.name}: closure exceeds cap {self.max_closure}")
-                        nxt.append(prod_m)
-            queue = nxt
-        return tuple(sorted(seen))
+        """The group the generators generate, sorted: `_generate` from the identity
+        under compose, capped at max_closure elements."""
+        return _generate(self.identity(), self.generators, self.compose, self.max_closure,
+                         f"{self.name}: closure exceeds cap {self.max_closure}")
 
     def __repr__(self):
         return f"GaloisModule({self.name}: factors={self.factors}, gens={len(self.generators)})"
@@ -379,11 +375,8 @@ def almost_rational_set(module: GaloisModule,
     pts = _point_grid(module, max_points)
     ar = tuple(map(tuple, pts[~_not_ar_mask(module, pts)].tolist()))
     elapsed = (time.perf_counter() - t0) * 1000.0
-    if expected is None:
-        return ARTReport(module.name, total, ar, None, "not-checked", elapsed)
-    exp = tuple(sorted(module.check_point(p) for p in expected))
-    verdict = "pass" if set(ar) == set(exp) else "fail"
-    return ARTReport(module.name, total, ar, exp, verdict, elapsed)
+    exp = None if expected is None else tuple(sorted(module.check_point(p) for p in expected))
+    return ARTReport(module.name, total, ar, exp, elapsed)
 
 
 # -- constructors -------------------------------------------------------
@@ -456,18 +449,11 @@ def _as_matrix(m, k: int, label: str) -> Matrix:
 
 
 def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, ...]:
-    """Additive closure of the given points (always contains zero), sorted."""
-    seen = {module.zero()}
-    queue = [module.zero()]
-    gen_pts = [module.check_point(p) for p in gens]
-    while queue:
-        cur = queue.pop()
-        for g in gen_pts:
-            nxt = module.add(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return tuple(sorted(seen))
+    """The subgroup the points generate, sorted: `_generate` from zero under add,
+    capped at DEFAULT_MAX_POINTS points."""
+    return _generate(module.zero(), [module.check_point(p) for p in gens], module.add,
+                     DEFAULT_MAX_POINTS,
+                     f"{module.name}: span exceeds cap {DEFAULT_MAX_POINTS} points")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidInputError, ResourceCapError
-from .modarith import is_prime, power_subgroup, primes_in
+from .modarith import check_residue_bound, is_prime, power_subgroup, primes_in
 
 FERMAT_PRIME_BOUND = 10 ** 6
-SCAN_BOUND = 10 ** 7  # failure_scan sieves max_m bytes up front
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,10 @@ class PrimePowerWitness:
 
 
 def _root_of(m: int, e: int, value: int) -> Optional[int]:
-    """Smallest u coprime to m with u^e = value mod m, or None."""
+    """Smallest u coprime to m with u^e = value mod m, or None; m <= RESIDUE_BOUND."""
     if m == 1:
         return 0
+    check_residue_bound(m, "root search: modulus")
     for u in range(1, m):
         if math.gcd(u, m) == 1 and pow(u, e, m) == value:
             return u
@@ -208,8 +208,7 @@ def failure_scan(e: int, max_m: int, threads: int = 1) -> Lemma2Report:
     """
     if e < 1 or max_m < 1:
         raise InvalidInputError(f"failure_scan: bad parameters {(e, max_m)}")
-    if max_m > SCAN_BOUND:
-        raise ResourceCapError(f"failure_scan: max {max_m} exceeds bound {SCAN_BOUND}")
+    check_residue_bound(max_m, "failure_scan: max")  # the scan sieves max_m bytes up front
     failures = [1]
     for p in primes_in(2, max_m):
         failing = []

@@ -2,8 +2,10 @@
 CRT, and quadratic symbols.
 
 Everything here is small-modulus integer arithmetic; Python ints are exact, so
-the only bound enforced is the trial-division cap on factorize.  All set
-outputs are sorted ascending so downstream goldens are reproducible.
+the bounds enforced are the trial-division cap on factorize and
+RESIDUE_BOUND on the residue loop of power_subgroup and the sieve of
+primes_in.  All set outputs are sorted ascending so downstream goldens are
+reproducible.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceCapError
 
 FACTORIZE_BOUND = 1 << 48
+RESIDUE_BOUND = 10 ** 7  # largest m a loop over residues mod m, or a sieve up to m, accepts
 
 # 2,3,5,7-coprime wheel: increments cycling through residues coprime to 210.
 _WHEEL = (2, 4, 2, 4, 6, 2, 6, 4, 2, 4, 6, 6, 2, 6, 4, 2, 6, 4, 6, 8,
@@ -174,12 +177,19 @@ def unit_group_generators(m: int) -> list[int]:
     return gens
 
 
+def check_residue_bound(m: int, label: str) -> None:
+    """Refuse, before any loop or allocation, an m above RESIDUE_BOUND."""
+    if m > RESIDUE_BOUND:
+        raise ResourceCapError(f"{label} {m} exceeds bound {RESIDUE_BOUND}")
+
+
 def power_subgroup(m: int, e: int) -> UnitSet:
-    """The subgroup {u^e mod m : gcd(u, m) = 1} of (Z/mZ)^*, sorted."""
+    """The subgroup {u^e mod m : gcd(u, m) = 1} of (Z/mZ)^*, sorted; m <= RESIDUE_BOUND."""
     if m < 1 or e < 1:
         raise InvalidInputError(f"power_subgroup: need m >= 1 and e >= 1, got {(m, e)}")
     if m == 1:
         return UnitSet(1, (0,))
+    check_residue_bound(m, "power_subgroup: modulus")
     elems = {pow(u, e, m) for u in range(1, m) if math.gcd(u, m) == 1}
     return UnitSet(m, tuple(sorted(elems)))
 
@@ -231,11 +241,10 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending.  Empty when hi < lo."""
-    if hi < lo:
+    """All primes in [lo, hi], ascending.  Empty when hi < lo; hi <= RESIDUE_BOUND."""
+    if hi < lo or hi < 2:
         return []
-    if hi < 2:
-        return []
+    check_residue_bound(hi, "primes_in: upper end")
     sieve = bytearray([1]) * (hi + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(hi) + 1):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import artlab
-from artlab import cli, lemma2, modcurve
+from artlab import cli, lemma2, modarith, modcurve
 from artlab.cli import dispatch, emit_report, cache_roundtrip
 from artlab.galmod import almost_rational_set, cyclotomic_module
 from artlab.lemma2 import failure_scan
@@ -272,6 +272,25 @@ class TestExitCodes:
         monkeypatch.setattr(lemma2, "primes_in", no_sieve)
         code, out, err = run(capsys, "lemma2", "scan", "--e", "1", "--max", "10000001")
         assert code == 3 and out == "" and err.startswith("artlab:") and "bound" in err
+
+    @pytest.mark.parametrize("owner, callee, argv", [
+        (modarith, "range", ["lemma2", "pair", "--m", "1000000007", "--e", "2"]),
+        (lemma2, "range", ["lemma2", "witness", "--p", "1000003", "--n", "2", "--e", "1000003"]),
+        (modarith, "bytearray", ["survey", "--from", "23", "--to", "10000000000000"]),
+    ], ids=["power_subgroup", "root_of", "primes_in"])
+    def test_residue_bound_exit(self, capsys, monkeypatch, owner, callee, argv):
+        # the loop's callee refuses to run, so a missing bound fails here at once
+        def refuse(*args):
+            raise AssertionError(f"{callee} called past the residue bound")
+
+        monkeypatch.setattr(owner, callee, refuse, raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("artlab:") and "bound" in err
+
+    def test_pair_e1_needs_no_bound(self, capsys):
+        # x = 3 pairs with y = -1 for every m outside {1, 2, 3, 6}
+        code, out, _ = run(capsys, "lemma2", "pair", "--m", "1000000000000", "--e", "1")
+        assert code == 0 and out.startswith("m=1000000000000 e=1: x=3 ")
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy
@@ -30,6 +31,7 @@ from artlab import (
     two_step_unipotents,
     validate_module,
 )
+from artlab import galmod
 from artlab.galmod import _not_ar_mask, _point_grid
 from artlab.modarith import primes_in, unit_group_generators
 from artlab.modcurve import eisenstein_number
@@ -87,8 +89,10 @@ class TestValidation:
         # a generator of order 100 passes validation; the cap applies to the closure
         for m in (cyclotomic_module(101, max_closure=10),
                   GaloisModule((101,), [[[2]]], max_closure=10)):
-            with pytest.raises(ResourceCapError, match="closure exceeds cap"):
+            with pytest.raises(ResourceCapError, match=f"^{m.name}: closure exceeds cap 10$"):
                 m.closure
+        # the cap counts elements: a closure of exactly max_closure is allowed
+        assert len(GaloisModule((101,), [[[2]]], max_closure=100).closure) == 100
 
     def test_invertibility_matches_power_loop_oracle(self):
         rng = random.Random(17)
@@ -278,11 +282,12 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError):
             almost_rational_set(constant_module(100), max_points=99)
 
-    def test_report_rejects_inconsistent_verdict(self):
-        # an internal inconsistency, not invalid input (which would exit 2)
-        with pytest.raises(RuntimeError) as exc:
-            ARTReport("x", 3, ((0,),), ((0,), (1,)), "pass", 0.0)
-        assert not isinstance(exc.value, InvalidInputError)
+    def test_verdict_is_derived_from_point_sets(self):
+        # no stored verdict, so no report can disagree with its own point sets
+        assert "verdict" not in {f.name for f in dataclasses.fields(ARTReport)}
+        assert ARTReport("x", 3, ((0,),), ((0,), (1,)), 0.0).verdict == "fail"
+        assert ARTReport("x", 3, ((1,), (0,)), ((0,), (1,)), 0.0).verdict == "pass"
+        assert ARTReport("x", 3, ((0,),), None, 0.0).verdict == "not-checked"
 
     def test_block_kernel_matches_naive_oracle(self):
         mods = [cyclotomic_module(n) for n in (8, 12, 30, 101)]
@@ -403,10 +408,35 @@ class TestDirectSum:
         assert len(default.closure) == 16
 
 
+@st.composite
+def _module_and_points(draw):
+    factors = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    point = st.tuples(*(st.integers(0, d - 1) for d in factors))
+    return factors, draw(st.lists(point, max_size=3))
+
+
 class TestSubgroupAndQuotient:
     def test_span_of_generators(self):
         m = constant_module(12)
         assert subgroup_span(m, [(4,)]) == ((0,), (4,), (8,))
+
+    @given(_module_and_points())
+    @settings(max_examples=200, deadline=None)
+    def test_span_matches_combination_oracle(self, case):
+        # every sum a_1 g_1 + ... + a_r g_r with 0 <= a_i < order(g_i), one g_i at a time
+        factors, gens = case
+        m = GaloisModule(factors, [])
+        combos = {m.zero()}
+        for g in gens:
+            combos = {m.add(s, m.scale(a, g)) for s in combos for a in range(m.order_of(g))}
+        assert subgroup_span(m, gens) == tuple(sorted(combos))
+
+    def test_span_cap(self, monkeypatch):
+        monkeypatch.setattr(galmod, "DEFAULT_MAX_POINTS", 99)
+        with pytest.raises(ResourceCapError, match="span exceeds cap 99"):
+            subgroup_span(constant_module(100), [(1,)])
+        monkeypatch.setattr(galmod, "DEFAULT_MAX_POINTS", 100)
+        assert len(subgroup_span(constant_module(100), [(1,)])) == 100
 
     def test_fused_six_has_18_points(self):
         base = direct_sum(constant_module(6), cyclotomic_module(6))

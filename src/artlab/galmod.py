@@ -10,6 +10,10 @@ sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
 difference set {sigma(p) - p} meets its own negation only in 0.  The
 production predicate is the difference-set test in one block kernel,
 `_not_ar_mask`; the literal two-quantifier loop is an independent oracle.
+`almost_rational_set` runs the kernel on one point per orbit of the group
+generated by the closure and the translations by fixed (rational) points,
+and copies each result to its orbit.  Two lemmas make that exact: D_{tau p}
+= tau(D_p) for tau in the closure, and D_{p+q} = D_p for q fixed.
 """
 
 from __future__ import annotations
@@ -305,8 +309,89 @@ def _point_grid(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> n
         raise ResourceCapError(
             f"{module.name}: {module.point_count} points exceeds the cap {max_points}")
     _check_kernel_bound(module)
-    grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in module.factors), indexing="ij")
+    # broadcast views, so the stacked copy is the only (n, k) array allocated
+    grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in module.factors),
+                        indexing="ij", copy=False)
     return np.stack(grids, axis=-1).reshape(module.point_count, module.rank)
+
+
+def _image_codes(module: GaloisModule, pts: np.ndarray,
+                 mat: Optional[Matrix] = None, shift: Optional[Point] = None) -> np.ndarray:
+    """The grid index of A p + b for every row p of the grid (A = mat, or the
+    identity when None; b = shift, or 0 when None).
+
+    A point's grid index is its mixed-radix code, built here by Horner's rule
+    one coordinate at a time, so only (n,) arrays are allocated.
+    """
+    import numpy as np
+
+    code = np.zeros(len(pts), dtype=np.int64)
+    for i, d in enumerate(module.factors):
+        col = pts @ np.array(mat[i], dtype=np.int64) if mat is not None else pts[:, i].copy()
+        if shift is not None:
+            col += shift[i]
+        col %= d
+        code *= d
+        code += col
+    return code
+
+
+def _fixed_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
+    """True at the grid rows every generator fixes, i.e. the whole closure fixes."""
+    import numpy as np
+
+    index = np.arange(len(pts))
+    keep = np.ones(len(pts), dtype=bool)
+    for g in module.generators:
+        keep &= _image_codes(module, pts, mat=g) == index
+    return keep
+
+
+def _orbit_labels(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
+    """For every grid row, the least grid index in its orbit under the group
+    generated by the Galois generators and translations by the fixed points.
+
+    Min-label propagation over powers: a map f of order r pulls labels through
+    f, f^2, f^4, ..., f^(2^(L-1)) with 2^L >= r (lab = min(lab, lab[image])),
+    so each cycle of f ends up carrying its least label.  Labels only
+    decrease and stay inside their orbit, so lab == 0 marks the span of the
+    translations pulled so far; the next translation is the first fixed point
+    outside it (a greedy generating set of the fixed subgroup).  Pointer
+    jumping (lab = lab[lab] to a fixpoint) and further passes run until the
+    labels are constant under every map, hence on every orbit.  When the maps
+    commute (an abelian closure) one pass suffices.  Image codes are computed
+    when used, not stored, so memory does not grow with the number of maps.
+    """
+    import numpy as np
+
+    def pull(mat, shift, order):
+        for _ in range((order - 1).bit_length()):
+            np.minimum(lab, lab[_image_codes(module, pts, mat, shift)], out=lab)
+            if mat is not None:
+                mat = module.compose(mat, mat)
+            if shift is not None:
+                shift = module.add(shift, shift)
+
+    lab = np.arange(len(pts))
+    # (matrix, shift, order); <g> lies in the closure, so its cap never trips
+    maps = [(g, None, len(_generate(module.identity(), [g], module.compose,
+                                     len(module.closure), "")))
+            for g in module.generators]
+    for m in maps:
+        pull(*m)
+    fixed = _fixed_mask(module, pts)
+    while (outside := fixed & (lab != 0)).any():
+        q = tuple(pts[outside.argmax()].tolist())
+        maps.append((None, q, module.order_of(q)))
+        pull(*maps[-1])
+    while True:
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+        if all(np.array_equal(lab[_image_codes(module, pts, mat, shift)], lab)
+               for mat, shift, _ in maps):
+            return lab
+        for m in maps:
+            pull(*m)
 
 
 def _check_kernel_bound(module: GaloisModule) -> None:
@@ -365,15 +450,45 @@ def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     return bad
 
 
+def _rows(module: GaloisModule, index: np.ndarray) -> Iterable[Point]:
+    """The points at the given grid indices, as tuples of ints.  They are built
+    a chunk at a time, so no Python list holds every coordinate at once."""
+    import numpy as np
+
+    for start in range(0, len(index), 1 << 12):
+        cols = np.unravel_index(index[start:start + (1 << 12)], module.factors)
+        yield from zip(*(c.tolist() for c in cols))
+
+
 def almost_rational_set(module: GaloisModule,
                         expected: Optional[Iterable[Point]] = None,
                         max_points: int = DEFAULT_MAX_POINTS) -> ARTReport:
     """Enumerate the almost-rational points, sorted, with optional comparison
-    against an expected subgroup."""
+    against an expected subgroup.
+
+    The a.r. set is a union of orbits of the group generated by the closure
+    and the translations by fixed points, because of two lemmas:
+    - Galois orbits: for tau in the closure, D_{tau p} = tau(D_p), since
+      sigma(tau p) - tau p = tau(tau^-1 sigma tau (p) - p) and conjugation by
+      tau permutes the closure; tau is an automorphism, so D_{tau p} meets
+      its negation only in 0 exactly when D_p does.
+    - Rational translations: for a fixed point q, D_{p+q} = D_p, since
+      sigma(p + q) - (p + q) = sigma(p) - p.
+    So the points are labelled by orbit (`_orbit_labels`), the kernel runs on
+    the least point of each orbit, and each result is copied to its orbit.
+    """
+    import numpy as np
+
     t0 = time.perf_counter()
     total = module.point_count
     pts = _point_grid(module, max_points)
-    ar = tuple(map(tuple, pts[~_not_ar_mask(module, pts)].tolist()))
+    lab = _orbit_labels(module, pts)
+    reps = np.flatnonzero(lab == np.arange(total))
+    bad = np.zeros(total, dtype=bool)
+    bad[reps] = _not_ar_mask(module, pts[reps])
+    keep = np.flatnonzero(~bad[lab])
+    del pts, lab, bad  # the grid goes before the output tuples are built
+    ar = tuple(_rows(module, keep))
     elapsed = (time.perf_counter() - t0) * 1000.0
     exp = None if expected is None else tuple(sorted(module.check_point(p) for p in expected))
     return ARTReport(module.name, total, ar, exp, elapsed)
@@ -578,7 +693,4 @@ def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
     import numpy as np
 
     pts = _point_grid(module)
-    keep = np.ones(len(pts), dtype=bool)
-    for g in module.generators:
-        keep &= ((pts @ np.array(g, dtype=np.int64).T) % module.factors == pts).all(axis=1)
-    return tuple(map(tuple, pts[keep].tolist()))
+    return tuple(_rows(module, np.flatnonzero(_fixed_mask(module, pts))))

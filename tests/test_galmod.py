@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy
 import pytest
@@ -32,9 +33,9 @@ from artlab import (
     validate_module,
 )
 from artlab import galmod
-from artlab.galmod import _not_ar_mask, _point_grid
+from artlab.galmod import _not_ar_mask, _orbit_labels, _point_grid
 from artlab.modarith import primes_in, unit_group_generators
-from artlab.modcurve import eisenstein_number
+from artlab.modcurve import eisenstein_model, eisenstein_number
 from artlab.snf import mat_mul, smith_normal_form
 
 
@@ -345,6 +346,97 @@ class TestEnumeration:
         points = list(m.points())
         for idx in random.Random(5).sample(range(len(points)), 12):
             assert (not bad[idx]) == is_almost_rational(m, points[idx]), points[idx]
+
+
+def _full_grid_ar(m):
+    pts = _point_grid(m)
+    return tuple(map(tuple, pts[~_not_ar_mask(m, pts)].tolist()))
+
+
+def _grid_index(m, pts):
+    """Grid index of each row of an (n, k) array of points reduced mod the factors."""
+    return numpy.ravel_multi_index(tuple((pts % m.factors).T), m.factors)
+
+
+class TestOrbitRepresentatives:
+    """almost_rational_set runs the kernel on one point per orbit of the group
+    generated by the closure and the translations by fixed points; the full
+    grid through the same kernel is the reference."""
+
+    def test_matches_full_grid_on_corpus(self, module_corpus):
+        for m in module_corpus:
+            assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
+
+    def test_matches_full_grid_on_eisenstein_models(self):
+        for N in primes_in(23, 300):
+            m = eisenstein_model(N).module
+            assert almost_rational_set(m).ar_points == _full_grid_ar(m), N
+
+    def test_matches_full_grid_on_homothety_modules(self):
+        for m_ in range(1, 300):
+            for e in (1, 2, 3):
+                m = homothety_module(m_, e, 1)
+                assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
+
+    def test_labels_constant_under_generators_and_fixed_translations(self, module_corpus):
+        for m in module_corpus:
+            pts = _point_grid(m)
+            lab = _orbit_labels(m, pts)
+            for g in m.generators:
+                img = _grid_index(m, pts @ numpy.array(g, dtype=numpy.int64).T)
+                assert (lab[img] == lab).all(), m.name
+            for q in fixed_points(m):
+                img = _grid_index(m, pts + numpy.array(q, dtype=numpy.int64))
+                assert (lab[img] == lab).all(), (m.name, q)
+
+    def test_labels_are_least_points_of_orbits(self, module_corpus):
+        # breadth-first orbits over the closure and every fixed point, in Python
+        for m in random.Random(41).sample(module_corpus, 40):
+            points = list(m.points())
+            index = {p: i for i, p in enumerate(points)}
+            fixed = fixed_points(m)
+            expected = [None] * len(points)
+            for p in points:
+                if expected[index[p]] is not None:
+                    continue
+                orbit = {m.add(apply_automorphism(m, a, p), q) for a in m.closure for q in fixed}
+                least = min(index[x] for x in orbit)
+                for x in orbit:
+                    expected[index[x]] = least
+            assert _orbit_labels(m, _point_grid(m)).tolist() == expected, m.name
+
+    @pytest.mark.parametrize("module,reps", [
+        (eisenstein_model(191).module, 4),
+        (constant_module(12), 1),
+        (GaloisModule((2,) * 6, []), 1),
+        (cyclotomic_module(101), 2),
+    ], ids=["eis_191", "const_12", "trivial_2^6", "mu_101"])
+    def test_kernel_sees_one_point_per_orbit(self, module, reps, monkeypatch):
+        blocks = []
+        kernel = galmod._not_ar_mask
+
+        def spy(m, pts):
+            blocks.append(len(pts))
+            return kernel(m, pts)
+
+        monkeypatch.setattr(galmod, "_not_ar_mask", spy)
+        rep = almost_rational_set(module)
+        assert blocks == [reps]
+        assert rep.ar_points == _full_grid_ar(module)
+
+    def test_memory_does_not_grow_with_translation_generators(self):
+        # no Galois generators, so F is the whole group and needs 16 translations;
+        # one stored permutation per map would add another grid's worth of bytes
+        m = GaloisModule((2,) * 16, [])
+        grid_bytes = _point_grid(m).nbytes
+        tracemalloc.start()
+        try:
+            rep = almost_rational_set(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.ar_points) == 2 ** 16
+        assert peak < 2 * grid_bytes
 
 
 class TestConstructors:

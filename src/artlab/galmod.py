@@ -10,10 +10,10 @@ sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
 difference set {sigma(p) - p} meets its own negation only in 0.  The
 production predicate is the difference-set test in one block kernel,
 `_not_ar_mask`; the literal two-quantifier loop is an independent oracle.
-`almost_rational_set` runs the kernel on one point per orbit of the group
-generated by the closure and the translations by fixed (rational) points,
-and copies each result to its orbit.  Two lemmas make that exact: D_{tau p}
-= tau(D_p) for tau in the closure, and D_{p+q} = D_p for q fixed.
+`almost_rational_set` runs the kernel on a lift of one point per Galois
+orbit of M/F, F the rational (fixed) points, and adds F back.  Two lemmas
+make that exact: D_{tau p} = tau(D_p) for tau in the closure, and
+D_{p+q} = D_p for q in F.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -161,6 +162,14 @@ class GaloisModule:
             self._check_invertible(mat, idx)
             gens.append(mat)
         self.generators: tuple[Matrix, ...] = tuple(gens)
+
+    @classmethod
+    def _of_automorphisms(cls, factors, generators, name, max_closure) -> GaloisModule:
+        """Generators that are automorphisms by construction (unit scalars, maps
+        induced on a quotient) skip the per-generator Smith normal form."""
+        module = cls(factors, [], name, max_closure)  # checks the factors
+        module.generators = tuple(_reduce_rowwise(g, module.factors) for g in generators)
+        return module
 
     # -- group structure on points ------------------------------------
 
@@ -305,9 +314,7 @@ def _point_grid(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> n
     """
     import numpy as np
 
-    if module.point_count > max_points:
-        raise ResourceCapError(
-            f"{module.name}: {module.point_count} points exceeds the cap {max_points}")
+    _check_cap(module, module.point_count, "points", max_points)
     _check_kernel_bound(module)
     # broadcast views, so the stacked copy is the only (n, k) array allocated
     grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in module.factors),
@@ -315,83 +322,49 @@ def _point_grid(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> n
     return np.stack(grids, axis=-1).reshape(module.point_count, module.rank)
 
 
-def _image_codes(module: GaloisModule, pts: np.ndarray,
-                 mat: Optional[Matrix] = None, shift: Optional[Point] = None) -> np.ndarray:
-    """The grid index of A p + b for every row p of the grid (A = mat, or the
-    identity when None; b = shift, or 0 when None).
+def _orbit_labels(module: GaloisModule, pts: np.ndarray, order_bound: int) -> np.ndarray:
+    """For every grid row, the least grid index in its orbit under the
+    generators; order_bound is a multiple of every generator's order.
 
-    A point's grid index is its mixed-radix code, built here by Horner's rule
-    one coordinate at a time, so only (n,) arrays are allocated.
+    A generator g pulls labels through g, g^2, g^4, ... up to 2^L >=
+    order_bound (lab = min(lab, lab[image])), so each cycle of g ends up
+    carrying its least label.  Pointer jumping (lab = lab[lab]) and further
+    passes run until the labels are constant under every generator, hence
+    on every orbit.  Image grid indices are built by Horner's rule.
     """
     import numpy as np
 
-    code = np.zeros(len(pts), dtype=np.int64)
-    for i, d in enumerate(module.factors):
-        col = pts @ np.array(mat[i], dtype=np.int64) if mat is not None else pts[:, i].copy()
-        if shift is not None:
-            col += shift[i]
-        col %= d
-        code *= d
-        code += col
-    return code
+    identity = module.identity()
 
+    def image(mat):
+        code = np.zeros(len(pts), dtype=np.int64)
+        for row, d in zip(mat, module.factors):
+            code *= d
+            code += pts @ np.array(row, dtype=np.int64) % d
+        return code
 
-def _fixed_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
-    """True at the grid rows every generator fixes, i.e. the whole closure fixes."""
-    import numpy as np
-
-    index = np.arange(len(pts))
-    keep = np.ones(len(pts), dtype=bool)
-    for g in module.generators:
-        keep &= _image_codes(module, pts, mat=g) == index
-    return keep
-
-
-def _orbit_labels(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
-    """For every grid row, the least grid index in its orbit under the group
-    generated by the Galois generators and translations by the fixed points.
-
-    Min-label propagation over powers: a map f of order r pulls labels through
-    f, f^2, f^4, ..., f^(2^(L-1)) with 2^L >= r (lab = min(lab, lab[image])),
-    so each cycle of f ends up carrying its least label.  Labels only
-    decrease and stay inside their orbit, so lab == 0 marks the span of the
-    translations pulled so far; the next translation is the first fixed point
-    outside it (a greedy generating set of the fixed subgroup).  Pointer
-    jumping (lab = lab[lab] to a fixpoint) and further passes run until the
-    labels are constant under every map, hence on every orbit.  When the maps
-    commute (an abelian closure) one pass suffices.  Image codes are computed
-    when used, not stored, so memory does not grow with the number of maps.
-    """
-    import numpy as np
-
-    def pull(mat, shift, order):
-        for _ in range((order - 1).bit_length()):
-            np.minimum(lab, lab[_image_codes(module, pts, mat, shift)], out=lab)
-            if mat is not None:
-                mat = module.compose(mat, mat)
-            if shift is not None:
-                shift = module.add(shift, shift)
+    def pull(mat):
+        for _ in range((order_bound - 1).bit_length()):
+            if mat == identity:  # g^(2^j) = 1: its cycles are already covered
+                return
+            np.minimum(lab, lab[image(mat)], out=lab)
+            mat = module.compose(mat, mat)
 
     lab = np.arange(len(pts))
-    # (matrix, shift, order); <g> lies in the closure, so its cap never trips
-    maps = [(g, None, len(_generate(module.identity(), [g], module.compose,
-                                     len(module.closure), "")))
-            for g in module.generators]
-    for m in maps:
-        pull(*m)
-    fixed = _fixed_mask(module, pts)
-    while (outside := fixed & (lab != 0)).any():
-        q = tuple(pts[outside.argmax()].tolist())
-        maps.append((None, q, module.order_of(q)))
-        pull(*maps[-1])
+    for g in module.generators:
+        pull(g)
     while True:
         while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
-        if all(np.array_equal(lab[_image_codes(module, pts, mat, shift)], lab)
-               for mat, shift, _ in maps):
+        if all(np.array_equal(lab[image(g)], lab) for g in module.generators):
             return lab
-        for m in maps:
-            pull(*m)
+        for g in module.generators:
+            pull(g)
+
+
+def _check_cap(module: GaloisModule, count: int, what: str, max_points: int) -> None:
+    if count > max_points:
+        raise ResourceCapError(f"{module.name}: {count} {what} exceeds the cap {max_points}")
 
 
 def _check_kernel_bound(module: GaloisModule) -> None:
@@ -460,38 +433,85 @@ def _rows(module: GaloisModule, index: np.ndarray) -> Iterable[Point]:
         yield from zip(*(c.tolist() for c in cols))
 
 
+def _fixed_generators(module: GaloisModule) -> list[Point]:
+    """Generators of the rational points F = {p : g p = p for every generator g}.
+
+    p is fixed exactly when (p, y) is in the integer kernel of A = [B | D] for
+    some y, B the rows of every g - I stacked, D the diagonal of their moduli.
+    D has full rank R, so with U A^T V = S the kernel is spanned by the rows
+    R, R+1, ... of U; their first k entries, reduced mod d, generate F.
+    """
+    rows = [([x - (i == j) for j, x in enumerate(g[i])], d)
+            for g in module.generators for i, d in enumerate(module.factors)]
+    at = [[row[j] for row, _ in rows] for j in range(module.rank)]
+    at += [[d * (c == r) for c in range(len(rows))] for r, (_, d) in enumerate(rows)]
+    u = smith_normal_form(at)[1]
+    gens = {tuple(x % d for x, d in zip(row, module.factors)) for row in u[len(rows):]}
+    return sorted(gens - {module.zero()})
+
+
+def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point]) -> np.ndarray:
+    """The sorted grid indices of start + ⟨gens⟩; start holds the sorted grid
+    indices of 0 and of points in other, distinct cosets of ⟨gens⟩.  Each h
+    adds X + s*h for 0 < s < t, X the set so far and t the least s >= 1 with
+    s*h in X, so in ⟨gens before h⟩: every element is built once."""
+    import numpy as np
+
+    span = start
+    for h in gens:
+        s = np.arange(module.order_of(h), dtype=np.int64)
+        multiples = np.ravel_multi_index(
+            tuple(s * x % d for x, d in zip(h, module.factors)), module.factors)
+        pos = np.minimum(np.searchsorted(span, multiples), len(span) - 1)
+        inside = np.flatnonzero(span[pos] == multiples)  # s = 0 always
+        s = s[:inside[1] if len(inside) > 1 else len(s)]
+        codes = np.zeros((len(span), len(s)), dtype=np.int64)
+        for col, x, d in zip(np.unravel_index(span, module.factors), h, module.factors):
+            codes *= d
+            codes += (col[:, None] + s * x) % d
+        span = np.sort(codes, axis=None)
+    return span
+
+
 def almost_rational_set(module: GaloisModule,
                         expected: Optional[Iterable[Point]] = None,
                         max_points: int = DEFAULT_MAX_POINTS) -> ARTReport:
     """Enumerate the almost-rational points, sorted, with optional comparison
     against an expected subgroup.
 
-    The a.r. set is a union of orbits of the group generated by the closure
-    and the translations by fixed points, because of two lemmas:
-    - Galois orbits: for tau in the closure, D_{tau p} = tau(D_p), since
-      sigma(tau p) - tau p = tau(tau^-1 sigma tau (p) - p) and conjugation by
-      tau permutes the closure; tau is an automorphism, so D_{tau p} meets
-      its negation only in 0 exactly when D_p does.
-    - Rational translations: for a fixed point q, D_{p+q} = D_p, since
-      sigma(p + q) - (p + q) = sigma(p) - p.
-    So the points are labelled by orbit (`_orbit_labels`), the kernel runs on
-    the least point of each orbit, and each result is copied to its orbit.
+    The a.r. set is a union of preimages of Galois orbits on M/F, F the
+    fixed subgroup:
+    - for tau in the closure, D_{tau p} = tau(D_p), since sigma(tau p) -
+      tau p = tau(tau^-1 sigma tau (p) - p) and conjugation by tau permutes
+      the closure; tau is an automorphism, so D_{tau p} meets its negation
+      only in 0 exactly when D_p does;
+    - for q in F, D_{p+q} = D_p, since sigma(p + q) - (p + q) = sigma(p) - p;
+      and tau(p + q) = tau(p) + q.
+    So the kernel runs on a lift of one point per orbit of the grid of M/F
+    (`_orbit_labels`), and the a.r. set is {lift(q) + f : q a.r., f in F}.
+    max_points bounds |F|, |M/F| and the output, each checked before it is
+    allocated; no grid of M is built.
     """
     import numpy as np
 
     t0 = time.perf_counter()
-    total = module.point_count
-    pts = _point_grid(module, max_points)
-    lab = _orbit_labels(module, pts)
-    reps = np.flatnonzero(lab == np.arange(total))
-    bad = np.zeros(total, dtype=bool)
-    bad[reps] = _not_ar_mask(module, pts[reps])
-    keep = np.flatnonzero(~bad[lab])
-    del pts, lab, bad  # the grid goes before the output tuples are built
-    ar = tuple(_rows(module, keep))
+    gens = _fixed_generators(module)
+    pres = quotient_presentation(module, gens, name=f"{module.name}/F")
+    n_fixed = module.point_count // pres.module.point_count
+    _check_cap(module, n_fixed, "rational points", max_points)
+    qpts = _point_grid(pres.module, max_points)
+    lab = _orbit_labels(pres.module, qpts, len(module.closure))
+    reps = np.flatnonzero(lab == np.arange(len(lab)))
+    bad = np.zeros(len(lab), dtype=bool)
+    bad[reps] = _not_ar_mask(module, pres.lift(qpts[reps]))
+    lifts = pres.lift(qpts[~bad[lab]])  # lift(0) = 0 is among them
+    del qpts, lab, bad
+    _check_cap(module, len(lifts) * n_fixed, "almost-rational points", max_points)
+    start = np.sort(np.ravel_multi_index(tuple(lifts.T), module.factors))
+    ar = tuple(_rows(module, _span_codes(module, start, gens)))
     elapsed = (time.perf_counter() - t0) * 1000.0
     exp = None if expected is None else tuple(sorted(module.check_point(p) for p in expected))
-    return ARTReport(module.name, total, ar, exp, elapsed)
+    return ARTReport(module.name, module.point_count, ar, exp, elapsed)
 
 
 # -- constructors -------------------------------------------------------
@@ -501,8 +521,8 @@ def cyclotomic_module(n: int, max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisM
     """mu_n: the group Z/n with (Z/nZ)^* acting by multiplication."""
     if n < 1:
         raise InvalidInputError(f"cyclotomic_module: n must be >= 1, got {n}")
-    gens = [[[g]] for g in unit_group_generators(n)]
-    return GaloisModule((n,), gens, name=f"mu_{n}", max_closure=max_closure)
+    gens = [((g,),) for g in unit_group_generators(n)]
+    return GaloisModule._of_automorphisms((n,), gens, f"mu_{n}", max_closure)
 
 
 def constant_module(n: int, max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisModule:
@@ -521,8 +541,8 @@ def homothety_module(m: int, e: int, dim: int,
     for u in unit_group_generators(m):
         scalar = pow(u, e, m)
         gens.append([[scalar if i == j else 0 for j in range(dim)] for i in range(dim)])
-    return GaloisModule((m,) * dim, gens, name=f"hom_{m}_e{e}_d{dim}",
-                        max_closure=max_closure)
+    return GaloisModule._of_automorphisms((m,) * dim, gens, f"hom_{m}_e{e}_d{dim}",
+                                          max_closure)
 
 
 def direct_sum(a: GaloisModule, b: GaloisModule,
@@ -573,21 +593,24 @@ def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, .
 
 @dataclass(frozen=True)
 class QuotientPresentation:
-    """A quotient module plus the projection from parent coordinates."""
+    """A quotient module, the projection from parent coordinates, and a lift
+    back with project(lift(q)) == q."""
 
     module: GaloisModule
     project: Callable[[Point], Point] = field(compare=False)
+    lift: Callable[[np.ndarray], np.ndarray] = field(compare=False)
 
 
 def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
                           name: Optional[str] = None) -> QuotientPresentation:
     """Present module/⟨sub⟩ in invariant-factor coordinates.
 
-    `sub` lists the elements of the subgroup (zero may be omitted); every
-    generator must map each listed point back into the list, otherwise the
-    offending generator is named.  The new basis comes from the Smith
-    normal form of the relation matrix [diag(d) | sub]; the induced action is
-    U A U^{-1} restricted to the nontrivial coordinates.
+    `sub` lists the elements of the subgroup (zero may be omitted), or
+    generators that each generator of the module maps back into the list
+    (fixed points do); otherwise the offending generator is named.  The new
+    basis comes from the Smith normal form U [diag(d) | sub] V = D; the
+    induced action is U A U^{-1} restricted to the nontrivial coordinates,
+    and lift(q) = U^{-1} (q padded with zeros) mod d.
     """
     sub_pts = [module.check_point(p) for p in sub]
     candidate = set(sub_pts) | {module.zero()}
@@ -602,14 +625,9 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
                     f"{module.name}: subgroup not Galois-stable; generator "
                     f"{list(map(list, g))} sends {h} to {img}, "
                     f"which is not in the subgroup")
-    span = subgroup_span(module, sub_pts)
     k = module.rank
-    relations = [[0] * (k + len(sub_pts)) for _ in range(k)]
-    for i, d in enumerate(module.factors):
-        relations[i][i] = d
-    for j, h in enumerate(sub_pts):
-        for i in range(k):
-            relations[i][k + j] = h[i]
+    relations = [[d * (i == j) for j in range(k)] + [h[i] for h in sub_pts]
+                 for i, d in enumerate(module.factors)]
     diag, u, uinv = smith_normal_form(relations)
     new_d = [diag[i][i] for i in range(k)]
     if any(d < 1 for d in new_d):
@@ -618,21 +636,26 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     if not keep:
         keep = [k - 1]  # trivial quotient, presented as Z/1
     new_factors = tuple(new_d[i] for i in keep)
+    section = [[uinv[j][i] % d for i in keep] for j, d in enumerate(module.factors)]
 
     def project(p: Point) -> Point:
         p = module.check_point(p)
         return tuple(
             sum(u[i][j] * p[j] for j in range(k)) % new_d[i] for i in keep)
 
+    def lift(q):  # one quotient point, or an (n, k') array of them
+        import numpy as np
+
+        _check_kernel_bound(module)  # keeps the int64 product below 2**63
+        return np.asarray(q, dtype=np.int64) @ np.array(section, dtype=np.int64).T % module.factors
+
     new_gens = []
     for g in module.generators:
         conj = mat_mul(mat_mul(u, g), uinv)
         new_gens.append([[conj[i][j] for j in keep] for i in keep])
-    qname = name or f"{module.name}/sub{len(span)}"
-    qmod = GaloisModule(new_factors, new_gens, name=qname, max_closure=module.max_closure)
-    if qmod.point_count * len(span) != module.point_count:
-        raise RuntimeError(f"{qname}: |quotient| * |subgroup| != |module|")
-    return QuotientPresentation(qmod, project)
+    qname = name or f"{module.name}/sub{module.point_count // math.prod(new_factors)}"
+    qmod = GaloisModule._of_automorphisms(new_factors, new_gens, qname, module.max_closure)
+    return QuotientPresentation(qmod, project, lift)
 
 
 def quotient_by(module: GaloisModule, sub: Sequence[Point],
@@ -674,9 +697,9 @@ def halving_exclusion(module: GaloisModule, p: Point,
     cannot be almost rational.  Each element may be any k x k nested sequence."""
     p = module.check_point(p)
     subgroup = [tuple(map(tuple, a)) for a in subgroup]
-    closure_set = set(module.closure)
+    closure = module.closure  # sorted, so membership is a binary search
     for a in subgroup:
-        if a not in closure_set:
+        if closure[min(bisect_left(closure, a), len(closure) - 1)] != a:
             raise InvalidInputError(
                 f"{module.name}: automorphism {list(map(list, a))} is not in the closure")
     two_p = module.add(p, p)
@@ -688,9 +711,9 @@ def halving_exclusion(module: GaloisModule, p: Point,
 
 
 def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
-    """Points fixed by the entire closure (the rational points of the model);
-    capped at DEFAULT_MAX_POINTS points."""
-    import numpy as np
-
-    pts = _point_grid(module)
-    return tuple(_rows(module, np.flatnonzero(_fixed_mask(module, pts))))
+    """Points fixed by the entire closure (the rational points of the model),
+    spanned from `_fixed_generators` once |M| / |M/F| is within DEFAULT_MAX_POINTS."""
+    gens = _fixed_generators(module)
+    _check_cap(module, module.point_count // quotient_by(module, gens).point_count,
+               "rational points", DEFAULT_MAX_POINTS)
+    return subgroup_span(module, gens)

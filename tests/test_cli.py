@@ -250,6 +250,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "theorem3", "73", "--json")
         assert code == 0
 
+    def test_theorem3_past_the_point_cap_of_the_full_module(self, capsys):
+        # 5003^2 points exceed the default cap; M/F and F have 5003 each
+        code, out, _ = run(capsys, "theorem3", "10007")
+        assert code == 0 and "a.r.    : 5003 point(s)" in out and "verdict : pass" in out
+
     def test_theorem3_below_23_is_invalid(self, capsys):
         code, _, err = run(capsys, "theorem3", "19")
         assert code == 2 and "prime N >= 23" in err

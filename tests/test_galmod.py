@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import tracemalloc
 
 import numpy
@@ -33,7 +34,7 @@ from artlab import (
     validate_module,
 )
 from artlab import galmod
-from artlab.galmod import _not_ar_mask, _orbit_labels, _point_grid
+from artlab.galmod import _fixed_generators, _not_ar_mask, _orbit_labels, _point_grid
 from artlab.modarith import primes_in, unit_group_generators
 from artlab.modcurve import eisenstein_model, eisenstein_number
 from artlab.snf import mat_mul, smith_normal_form
@@ -358,10 +359,14 @@ def _grid_index(m, pts):
     return numpy.ravel_multi_index(tuple((pts % m.factors).T), m.factors)
 
 
+def _rational_quotient(m):
+    return quotient_presentation(m, _fixed_generators(m))
+
+
 class TestOrbitRepresentatives:
-    """almost_rational_set runs the kernel on one point per orbit of the group
-    generated by the closure and the translations by fixed points; the full
-    grid through the same kernel is the reference."""
+    """almost_rational_set runs the kernel on a lift of one point per Galois
+    orbit on M/F, F the rational points; the full grid through the same
+    kernel is the reference."""
 
     def test_matches_full_grid_on_corpus(self, module_corpus):
         for m in module_corpus:
@@ -378,32 +383,45 @@ class TestOrbitRepresentatives:
                 m = homothety_module(m_, e, 1)
                 assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
 
-    def test_labels_constant_under_generators_and_fixed_translations(self, module_corpus):
+    def test_labels_constant_under_quotient_generators(self, module_corpus):
         for m in module_corpus:
-            pts = _point_grid(m)
-            lab = _orbit_labels(m, pts)
-            for g in m.generators:
-                img = _grid_index(m, pts @ numpy.array(g, dtype=numpy.int64).T)
+            q = _rational_quotient(m).module
+            pts = _point_grid(q)
+            lab = _orbit_labels(q, pts, len(m.closure))
+            for g in q.generators:
+                img = _grid_index(q, pts @ numpy.array(g, dtype=numpy.int64).T)
                 assert (lab[img] == lab).all(), m.name
-            for q in fixed_points(m):
-                img = _grid_index(m, pts + numpy.array(q, dtype=numpy.int64))
-                assert (lab[img] == lab).all(), (m.name, q)
 
-    def test_labels_are_least_points_of_orbits(self, module_corpus):
-        # breadth-first orbits over the closure and every fixed point, in Python
+    def test_labels_are_least_points_of_quotient_orbits(self, module_corpus):
+        # breadth-first orbits over the quotient's closure, in Python
         for m in random.Random(41).sample(module_corpus, 40):
-            points = list(m.points())
+            q = _rational_quotient(m).module
+            points = list(q.points())
             index = {p: i for i, p in enumerate(points)}
-            fixed = fixed_points(m)
             expected = [None] * len(points)
             for p in points:
-                if expected[index[p]] is not None:
-                    continue
-                orbit = {m.add(apply_automorphism(m, a, p), q) for a in m.closure for q in fixed}
-                least = min(index[x] for x in orbit)
-                for x in orbit:
-                    expected[index[x]] = least
-            assert _orbit_labels(m, _point_grid(m)).tolist() == expected, m.name
+                if expected[index[p]] is None:
+                    orbit = {apply_automorphism(q, a, p) for a in q.closure}
+                    least = min(index[x] for x in orbit)
+                    for x in orbit:
+                        expected[index[x]] = least
+            assert _orbit_labels(q, _point_grid(q), len(m.closure)).tolist() == expected, m.name
+
+    def test_lift_is_a_section_of_the_projection(self, module_corpus):
+        for m in module_corpus:
+            pres = _rational_quotient(m)
+            points = list(pres.module.points())
+            lifts = pres.lift(points)
+            assert lifts.shape == (len(points), m.rank), m.name
+            for q, p in zip(points, lifts.tolist()):
+                assert pres.project(tuple(p)) == q, (m.name, q)
+                assert tuple(pres.lift(q).tolist()) == tuple(p), (m.name, q)
+
+    def test_rational_quotient_has_order_of_module_over_fixed(self, module_corpus):
+        for m in module_corpus:
+            fixed = [p for p in m.points() if all(apply_automorphism(m, g, p) == p
+                                                  for g in m.generators)]
+            assert _rational_quotient(m).module.point_count * len(fixed) == m.point_count, m.name
 
     @pytest.mark.parametrize("module,reps", [
         (eisenstein_model(191).module, 4),
@@ -424,11 +442,11 @@ class TestOrbitRepresentatives:
         assert blocks == [reps]
         assert rep.ar_points == _full_grid_ar(module)
 
-    def test_memory_does_not_grow_with_translation_generators(self):
-        # no Galois generators, so F is the whole group and needs 16 translations;
-        # one stored permutation per map would add another grid's worth of bytes
+    def test_rational_expansion_holds_one_python_copy(self):
+        # no Galois generators, so every point is rational: M/F is one point
+        # and the whole output comes from expanding F's 16 generators
         m = GaloisModule((2,) * 16, [])
-        grid_bytes = _point_grid(m).nbytes
+        almost_rational_set(GaloisModule((2,) * 3, []))  # imports outside the trace
         tracemalloc.start()
         try:
             rep = almost_rational_set(m)
@@ -436,7 +454,8 @@ class TestOrbitRepresentatives:
         finally:
             tracemalloc.stop()
         assert len(rep.ar_points) == 2 ** 16
-        assert peak < 2 * grid_bytes
+        output = sys.getsizeof(rep.ar_points) + sum(map(sys.getsizeof, rep.ar_points))
+        assert peak < 1.5 * output
 
 
 class TestConstructors:
@@ -461,6 +480,16 @@ class TestConstructors:
         squares = sorted(a[0][0] for a in homothety_module(16, 2, 1).closure)
         assert squares == [1, 9]
         assert len(homothety_module(2, 1, 3).closure) == 1
+
+    def test_unchecked_generators_pass_the_checks(self, module_corpus):
+        # cyclotomic, homothety and quotient modules skip the per-generator
+        # checks of GaloisModule(); their generators must pass them anyway
+        mods = list(module_corpus) + [_rational_quotient(m).module for m in module_corpus]
+        mods += [homothety_module(m, e, dim) for m in range(1, 40) for e in (1, 2, 3)
+                 for dim in (1, 2)]
+        mods += [cyclotomic_module(n) for n in range(1, 200)]
+        for m in mods:
+            assert GaloisModule(m.factors, m.generators).generators == m.generators, m.name
 
     def test_homothety_generators_are_scalar(self):
         m = homothety_module(9, 2, 3)
@@ -787,6 +816,15 @@ class TestElementaryFacts:
         monkeypatch.setattr(numpy, "meshgrid", no_grid)
         with pytest.raises(ResourceCapError, match="exceeds the cap"):
             fixed_points(GaloisModule((2 ** 40,), []))
+
+    def test_fixed_points_of_level_10007_build_no_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("built a point grid")
+
+        monkeypatch.setattr(numpy, "meshgrid", no_grid)
+        fixed = fixed_points(eisenstein_model(10007).module)
+        assert len(fixed) == 5003
+        assert fixed[:2] == ((0, 0), (1, 0))
 
     def test_fixed_points_are_ar(self, module_corpus):
         rng = random.Random(23)

@@ -129,7 +129,8 @@ class TestEisensteinModel:
 
 class TestTheorem3:
     @pytest.mark.parametrize("N,count", [(23, 11), (37, 9), (41, 10), (73, 18),
-                                         (1997, 499), (2003, 1001)])
+                                         (1997, 499), (2003, 1001), (10007, 5003),
+                                         (100003, 16667)])
     def test_spot_values(self, N, count):
         rep = theorem3_check(N)
         assert rep.verdict == "pass"

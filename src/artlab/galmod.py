@@ -605,26 +605,14 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
                           name: Optional[str] = None) -> QuotientPresentation:
     """Present module/⟨sub⟩ in invariant-factor coordinates.
 
-    `sub` lists the elements of the subgroup (zero may be omitted), or
-    generators that each generator of the module maps back into the list
-    (fixed points do); otherwise the offending generator is named.  The new
-    basis comes from the Smith normal form U [diag(d) | sub] V = D; the
-    induced action is U A U^{-1} restricted to the nontrivial coordinates,
-    and lift(q) = U^{-1} (q padded with zeros) mod d.
+    `sub` generates the subgroup (its elements do too; zero may be omitted),
+    and each generator of the module must map every point of `sub` into their
+    span; otherwise the offending generator is named.  The new basis comes
+    from the Smith normal form U [diag(d) | sub] V = D; the induced action is
+    U A U^{-1} restricted to the nontrivial coordinates, and
+    lift(q) = U^{-1} (q padded with zeros) mod d.
     """
     sub_pts = [module.check_point(p) for p in sub]
-    candidate = set(sub_pts) | {module.zero()}
-    # A finite set that each generator maps into itself is mapped into itself
-    # by every product of generators, and so by the whole closure: checking
-    # the generators suffices, and the parent's closure is never built.
-    for g in module.generators:
-        for h in sub_pts:
-            img = apply_automorphism(module, g, h)
-            if img not in candidate:
-                raise InvalidInputError(
-                    f"{module.name}: subgroup not Galois-stable; generator "
-                    f"{list(map(list, g))} sends {h} to {img}, "
-                    f"which is not in the subgroup")
     k = module.rank
     relations = [[d * (i == j) for j in range(k)] + [h[i] for h in sub_pts]
                  for i, d in enumerate(module.factors)]
@@ -642,6 +630,19 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
         p = module.check_point(p)
         return tuple(
             sum(u[i][j] * p[j] for j in range(k)) % new_d[i] for i in keep)
+
+    # x lies in the span iff project(x) = 0.  A subgroup that each generator
+    # maps into itself is mapped into itself by every product of generators,
+    # and so by the whole closure: checking the generators suffices, and the
+    # parent's closure is never built.
+    for g in module.generators:
+        for h in sub_pts:
+            img = apply_automorphism(module, g, h)
+            if any(project(img)):
+                raise InvalidInputError(
+                    f"{module.name}: subgroup not Galois-stable; generator "
+                    f"{list(map(list, g))} sends {h} to {img}, "
+                    f"which is not in the subgroup")
 
     def lift(q):  # one quotient point, or an (n, k') array of them
         import numpy as np

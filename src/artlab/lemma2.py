@@ -5,8 +5,9 @@ order m under a homothety-rich Galois action (the paper's Lemma 2), so this
 module carries the exhaustive search `exists_pair`, the prime-power candidate
 construction, failure-set scans over ranges of m, and diagonal Fermat point
 counts over prime fields.  A pair exists mod m iff one exists mod some prime
-power exactly dividing m, so scans search prime powers only and build the
-failing composites as coprime products.
+power exactly dividing m, so scans search prime powers only, and of those
+only the finitely many that can fail, and build the failing composites as
+coprime products.
 """
 
 from __future__ import annotations
@@ -195,6 +196,35 @@ def exists_pair(m: int, e: int) -> Optional[PairWitness]:
     return None
 
 
+def _weil_bound(e: int) -> int:
+    """B(e): every prime p > B(e) has a pair (`failure_scan`'s lemma (b)).
+
+    For e >= 3, B(e) = s^2 with s the least integer above the larger root of
+    t^2 - 2g*t + 1 - e - (e^2 + 2e), g = (e-1)(e-2)/2, so p + 1 - 2g*sqrt(p) - e
+    exceeds e^2 + 2e once sqrt(p) >= s.  For e <= 2 it is 11.
+    """
+    if e <= 2:
+        return 11
+    genus = (e - 1) * (e - 2) // 2
+    s = genus + math.isqrt(genus * genus + e * e + 3 * e - 1) + 1
+    return s * s
+
+
+def _prime_has_pair(p: int, e: int) -> bool:
+    """Whether a pair exists mod the prime p, found without roots or the subgroup.
+
+    F_p^* is cyclic, so y is an e-th power iff y^((p-1)/gcd(e, p-1)) = 1.  The
+    loop runs x = u^e over u = 2, 3, ... and stops at the first x whose partner
+    2 - x is a nontrivial e-th power unit; it is exhaustive when none is.
+    """
+    k = (p - 1) // math.gcd(e, p - 1)
+    for u in range(2, p):
+        y = (2 - pow(u, e, p)) % p
+        if y > 1 and pow(y, k, p) == 1:  # y != 0, and y != 1 iff x != 1
+            return True
+    return False
+
+
 def failure_scan(e: int, max_m: int, threads: int = 1) -> Lemma2Report:
     """All m <= max_m with no unit pair for exponent e, ascending.
 
@@ -202,23 +232,51 @@ def failure_scan(e: int, max_m: int, threads: int = 1) -> Lemma2Report:
     q = p^k exactly dividing m, e-th powers are taken componentwise, and
     x + y = 2 gives x = 1 mod q iff y = 1 mod q.  So m has a pair iff some
     such q has one, and the failures are exactly the products of pairwise
-    coprime failing prime powers (1 being the empty product).  Only the prime
-    powers are searched, by the exhaustive `exists_pair`.  `threads` is
-    accepted for compatibility and ignored.
+    coprime failing prime powers (1 being the empty product).
+
+    Only finitely many prime powers can fail:
+    (a) for odd p not dividing e and k >= 2, x = 1 + p, y = 1 - p is a pair
+        mod p^k: both are nontrivial units = 1 mod p, and x -> x^e is a
+        bijection of 1 + pZ_p when p does not divide e (Hensel);
+    (b) every prime p > B(e) = `_weil_bound(e)` has a pair.  For e >= 3 such
+        a p does not divide 2e, so the curve u^e + v^e = 2w^e is smooth of
+        genus g = (e-1)(e-2)/2, and Weil's bound, less the at most e points
+        with w = 0, leaves at least p + 1 - 2g*sqrt(p) - e affine points on
+        u^e + v^e = 2.  That is more than the at most e^2 + 2e points with
+        u = 0, v = 0 or u^e = v^e = 1, and any other point gives the pair
+        (u^e, v^e).  For e <= 2 the curve is a line or a conic, with at least
+        p - 1 > e^2 + 2e affine points once p > 11;
+    (c) for p dividing 2e and v = v_p(e), p^k has a pair once k >= v + 2 (p
+        odd) or k >= v + 3 (p = 2): x = 1 + p^(v+1) (x = 1 + 2^(v+2) for
+        p = 2) and y = 2 - x lie in (1 + pZ_p)^e = 1 + p^(v+1)Z_p (for p = 2,
+        (1 + 4Z_2)^e = 1 + 2^(v+2)Z_2) and are nontrivial mod p^k.
+    So the scan sieves only to min(max_m, B(e)), tests each prime not dividing
+    2e with the root-free `_prime_has_pair`, and sends only the powers of the
+    primes dividing 2e below the bound in (c) to the exhaustive `exists_pair`;
+    every other prime power passes.  `threads` is accepted for compatibility
+    and ignored.
     """
     if e < 1 or max_m < 1:
         raise InvalidInputError(f"failure_scan: bad parameters {(e, max_m)}")
-    check_residue_bound(max_m, "failure_scan: max")  # the scan sieves max_m bytes up front
+    check_residue_bound(max_m, "failure_scan: max")  # the scan sieves up to max_m at most
     failures = [1]
-    for p in primes_in(2, max_m):
-        failing = []
-        q = p
-        while q <= max_m:
-            if exists_pair(q, e) is None:
-                failing.append(q)
-            q *= p
-        # every m so far is a product of primes below p, so coprime to q
-        failures += [m * q for m in failures for q in failing if m * q <= max_m]
+    # every p dividing 2e is at most max(2, e) < B(e), so the sieve meets it
+    for p in primes_in(2, min(max_m, _weil_bound(e))):
+        if (2 * e) % p:
+            failing = [] if _prime_has_pair(p, e) else [p]  # (a): its powers pass
+        else:
+            v = 0
+            while e % p ** (v + 1) == 0:
+                v += 1
+            top = min(max_m, p ** (v + 2 if p == 2 else v + 1))  # (c): higher powers pass
+            failing, q = [], p
+            while q <= top:
+                if exists_pair(q, e) is None:
+                    failing.append(q)
+                q *= p
+        if failing:
+            # every m so far is a product of primes below p, so coprime to q
+            failures += [m * q for m in failures for q in failing if m * q <= max_m]
     return Lemma2Report(e, max_m, tuple(sorted(failures)))
 
 
@@ -313,11 +371,7 @@ def weil_threshold_prime(e: int, bound: int) -> WeilThreshold:
             f"weil_threshold_prime: no qualifying prime up to {bound}")
     cutoff = None
     if e >= 3:
-        genus = (e - 1) * (e - 2) // 2
-        # p + 1 - 2g*sqrt(p) - e > limit once sqrt(p) clears the larger root.
-        s = genus + math.isqrt(genus * genus + e + limit - 1) + 1
-        q = s * s
-        while not is_prime(q):
-            q += 1
-        cutoff = q
+        cutoff = _weil_bound(e)
+        while not is_prime(cutoff):
+            cutoff += 1
     return WeilThreshold(e, bound, hits[-1], tuple(hits), cutoff)

@@ -572,12 +572,24 @@ class TestSubgroupAndQuotient:
         assert len(almost_rational_set(q).ar_points) == len(almost_rational_set(base).ar_points)
 
     def test_non_stable_subgroup_names_the_automorphism(self):
+        # the diagonal <(1, 1)> of Z/5 + mu_5 is not stable: (1, 1) -> (1, 2)
+        base = direct_sum(constant_module(5), cyclotomic_module(5))
         with pytest.raises(InvalidInputError, match="not Galois-stable"):
-            quotient_by(cyclotomic_module(5), [(1,)])
+            quotient_by(base, [(1, 1)])
 
     def test_non_stable_subgroup_names_the_generator(self):
-        with pytest.raises(InvalidInputError, match=r"generator \[\[2\]\] sends \(1,\) to \(2,\)"):
-            quotient_by(cyclotomic_module(5), [(1,)])
+        base = direct_sum(constant_module(5), cyclotomic_module(5))
+        with pytest.raises(InvalidInputError,
+                           match=r"generator \[\[1, 0\], \[0, 2\]\] sends \(1, 1\) to \(1, 2\)"):
+            quotient_by(base, [(1, 1)])
+
+    def test_stability_is_checked_against_the_span(self):
+        # 3 * 2 = 6 is not a listed generator but lies in <2> = {0, 2, 4, 6}
+        pres = quotient_presentation(GaloisModule((8,), [[[3]]]), [(2,)])
+        assert pres.module.factors == (2,)
+        assert [pres.project((x,)) for x in range(8)] == [(0,), (1,)] * 4
+        # a generator of the whole group: every subgroup containing 1 is stable
+        assert quotient_by(cyclotomic_module(5), [(1,)]).point_count == 1
 
     def test_quotient_never_builds_the_parent_closure(self):
         base = direct_sum(constant_module(10), cyclotomic_module(10))

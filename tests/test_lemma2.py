@@ -1,7 +1,9 @@
 import math
+import time
 
 import pytest
 
+import artlab.lemma2 as lemma2
 from artlab import (
     InvalidInputError,
     PairWitness,
@@ -14,6 +16,7 @@ from artlab import (
     prime_power_witness,
     weil_threshold_prime,
 )
+from artlab.modarith import primes_in
 
 
 def brute_force_pair(m, e):
@@ -92,7 +95,8 @@ class TestFailureScan:
         assert tuple(m for m in full if m <= 17) == short
 
     @pytest.mark.parametrize("e, max_m", [(1, 3000), (2, 1000), (3, 1000), (4, 800),
-                                          (5, 800), (6, 800), (12, 600)])
+                                          (5, 800), (6, 800), (12, 600), (24, 1100),
+                                          (30, 600)])
     def test_matches_exhaustive_search(self, e, max_m):
         # the scan searches prime powers only; the oracle searches every m
         expected = tuple(m for m in range(1, max_m + 1) if exists_pair(m, e) is None)
@@ -127,6 +131,93 @@ class TestFailureScan:
         lifted = PairWitness(75, 1, x, y)  # construction validates
         assert exists_pair(75, 1) is not None
         assert (lifted.x + lifted.y) % 75 == 2
+
+
+def _valuation(e, p):
+    v = 0
+    while e % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+def _hensel_threshold(p, e):
+    """Lemma (c)'s bound for p | 2e: p^k has a pair for every k at or above it."""
+    return _valuation(e, p) + (3 if p == 2 else 2)
+
+
+class TestFailureScanLemmas:
+    """The three lemmas `failure_scan` rests on, each against `exists_pair`."""
+
+    @pytest.mark.parametrize("e", range(1, 13))
+    def test_a_one_plus_p_pairs_mod_odd_prime_powers(self, e):
+        for p in primes_in(3, 59):
+            if e % p == 0:
+                continue
+            for k in (2, 3):
+                q = p ** k
+                # roots from Hensel: u -> u^e is a bijection of 1 + pZ mod p^k,
+                # a group of order p^(k-1), with inverse u -> u^(1/e mod p^(k-1))
+                inv = pow(e, -1, p ** (k - 1))
+                x, y = 1 + p, (1 - p) % q
+                PairWitness(q, e, x, y, u=pow(x, inv, q), v=pow(y, inv, q))
+                if q < 10 ** 4:  # the exhaustive search is O(q) per call
+                    assert exists_pair(q, e) is not None, (q, e)
+
+    @pytest.mark.parametrize("e", [3, 4, 5, 6])
+    def test_b_every_prime_past_the_weil_bound_has_a_pair(self, e):
+        bound = lemma2._weil_bound(e)
+        assert bound < 3000
+        for p in primes_in(bound + 1, 3000):
+            assert exists_pair(p, e) is not None, (p, e)
+
+    def test_b_weil_bound_values(self):
+        assert [lemma2._weil_bound(e) for e in range(1, 7)] == [11, 11, 36, 100, 225, 529]
+        # the bound is exact in the inequality it rests on
+        for e in range(3, 25):
+            g, s = (e - 1) * (e - 2) // 2, math.isqrt(lemma2._weil_bound(e))
+            assert s * s - 2 * g * s + 1 - e > e * e + 2 * e
+
+    @pytest.mark.parametrize("e", range(1, 13))
+    def test_c_powers_of_primes_dividing_2e(self, e):
+        for p in (p for p in (2, 3, 5, 7, 11) if (2 * e) % p == 0):
+            top = _hensel_threshold(p, e)
+            step = p ** (top - 1)  # p^(v+1), or 2^(v+2) for p = 2
+            for k in range(1, top + 2):
+                q = p ** k
+                w = exists_pair(q, e)
+                if k >= top:
+                    # the lemma's pair: both e-th powers, and nontrivial mod p^k
+                    powers = power_subgroup(q, e)
+                    assert (1 + step) in powers and (1 - step) % q in powers, (q, e)
+                    assert w is not None, (q, e)
+                # on both sides of the threshold the scan agrees with the oracle
+                assert (q in failure_scan(e, q).failures) == (w is None), (q, e)
+
+    def test_c_threshold_is_sharp_for_powers_of_two(self):
+        # e = 8 fails up to 2^5 = 32, just below the threshold 2^(3+3)
+        assert [k for k in range(1, 7) if exists_pair(2 ** k, 8) is None] == [1, 2, 3, 4, 5]
+
+    def test_prime_test_matches_exhaustive_search(self):
+        for e in range(1, 13):
+            for p in primes_in(3, 400):
+                if (2 * e) % p:
+                    assert lemma2._prime_has_pair(p, e) == (exists_pair(p, e) is not None), (p, e)
+
+
+class TestScanSearchesFinitelyMany:
+    @pytest.mark.parametrize("e", [1, 2, 6, 12])
+    def test_sieve_and_searches_stay_below_the_lemma_bounds(self, e, monkeypatch):
+        sieved, searched = [], []
+        sieve, search = lemma2.primes_in, lemma2.exists_pair
+        monkeypatch.setattr(lemma2, "primes_in", lambda lo, hi: sieved.append(hi) or sieve(lo, hi))
+        monkeypatch.setattr(lemma2, "exists_pair", lambda m, e: searched.append(m) or search(m, e))
+        t0 = time.perf_counter()
+        failure_scan(e, 10 ** 7)
+        assert time.perf_counter() - t0 < 3.0
+        assert sieved and max(sieved) <= lemma2._weil_bound(e)
+        allowed = {p ** k for p in (2, 3, 5, 7, 11) if (2 * e) % p == 0
+                   for k in range(1, _hensel_threshold(p, e))}
+        assert 4 in searched and set(searched) <= allowed, searched
 
 
 class TestPrimePowerWitness:
@@ -179,7 +270,6 @@ class TestFermatCounts:
         assert count_fermat_points(3, 7) == 9
 
     def test_against_quadratic_oracle(self):
-        from artlab.modarith import primes_in
         for p in primes_in(2, 100):
             for e in range(1, 6):
                 expected = sum(

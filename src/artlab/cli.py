@@ -2,8 +2,8 @@
 and an optional file cache for batch runs.
 
 Every emission is a pure function of (parameters, package sources): the
-JSON "ms" field is pinned to 0 and worker counts never reorder output, so
-repeated runs are byte-identical and cacheable.
+JSON "ms" field is pinned to 0 and `--threads` is accepted but changes
+nothing, so repeated runs are byte-identical and cacheable.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 invalid
 input, 3 resource cap exceeded.
@@ -61,11 +61,14 @@ def cache_roundtrip(cache_dir: str, key_params: dict,
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 envelope = json.load(fh)
+            if not (isinstance(envelope, dict) and isinstance(envelope.get("output"), str)
+                    and type(envelope.get("exit_code")) is int):
+                raise ValueError("not an object with a str output and an int exit_code")
             if envelope.get("key") == key_params:
-                return envelope["output"], int(envelope["exit_code"])
+                return envelope["output"], envelope["exit_code"]
             print(f"artlab: cache entry {path} does not match its key; recomputing",
                   file=sys.stderr)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"artlab: ignoring corrupted cache entry {path}: {exc}", file=sys.stderr)
     output, exit_code = compute()
     envelope = {"key": key_params, "created_at": time.time(),
@@ -90,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON lines")
     common.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="worker count for surveys (never changes output)")
+                        help="accepted and ignored: every command runs in one thread")
     common.add_argument("--cache-dir", default=None, metavar="PATH",
                         help=f"cache directory (default: ${CACHE_ENV_VAR})")
     common.add_argument("--max-closure", type=int, default=DEFAULT_MAX_CLOSURE)
@@ -174,8 +177,7 @@ def _run_command(args):
         if cmd == "theorem3":
             return theorem3_check(args.N, max_closure=args.max_closure,
                                   max_points=args.max_points)
-        return SurveyReport(tuple(survey(args.start, args.stop, threads=args.threads,
-                                         max_closure=args.max_closure,
+        return SurveyReport(tuple(survey(args.start, args.stop, max_closure=args.max_closure,
                                          max_points=args.max_points)))
     from .galmod import almost_rational_set, cyclotomic_module, homothety_module, validate_module
 

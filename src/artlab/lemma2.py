@@ -20,6 +20,8 @@ from .errors import InvalidInputError, ResourceCapError
 from .modarith import check_residue_bound, is_prime, power_subgroup, primes_in
 
 FERMAT_PRIME_BOUND = 10 ** 6
+# p^n <= 2^WITNESS_MODULUS_BITS keeps every witness value under Python's 4,300-digit str limit
+WITNESS_MODULUS_BITS = 10_000
 
 
 @dataclass(frozen=True)
@@ -293,6 +295,10 @@ def prime_power_witness(p: int, n: int, e: int) -> PrimePowerWitness:
         raise InvalidInputError(f"prime_power_witness: p={p} is not prime")
     if n < 2 or e < 1:
         raise InvalidInputError(f"prime_power_witness: need n >= 2 and e >= 1, got {(n, e)}")
+    bits = n * (p - 1).bit_length()  # p^n <= 2^bits, since log2(p) <= bit_length(p - 1)
+    if bits > WITNESS_MODULUS_BITS:
+        raise ResourceCapError(f"prime_power_witness: modulus {p}^{n} is up to 2^{bits}, "
+                               f"above bound 2^{WITNESS_MODULUS_BITS}")
     k = 0
     reduced = e
     while reduced % p == 0:

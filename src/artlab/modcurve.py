@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from .errors import InvalidInputError
 from .galmod import (
@@ -83,8 +82,12 @@ class EisensteinModel:
 @dataclass(frozen=True)
 class SurveyRecord:
     level: LevelInvariants
-    report: ARTReport
-    side_condition_ok: bool
+    verdict: str
+
+    @property
+    def side_condition_ok(self) -> bool:
+        """The survey's side condition: a genus-zero plus quotient needs 3 not dividing n."""
+        return not (self.level.plus_quotient_genus_zero and self.level.three_divides_n)
 
 
 @dataclass(frozen=True)
@@ -95,18 +98,18 @@ class SurveyReport:
 
     @property
     def verdict(self) -> str:
-        ok = all(r.report.verdict == "pass" and r.side_condition_ok for r in self.records)
+        ok = all(r.verdict == "pass" and r.side_condition_ok for r in self.records)
         return "pass" if ok else "fail"
 
     def to_json(self) -> list[dict]:
-        return [{**r.level.to_json(), "verdict": r.report.verdict} for r in self.records]
+        return [{**r.level.to_json(), "verdict": r.verdict} for r in self.records]
 
     def to_text(self) -> str:
         """A header plus one row per level; "" when the survey is empty."""
         if not self.records:
             return ""
         rows = [("N", "n", "genus", "hyper", "plus0", "N%9", "3|n", "verdict")]
-        rows += [(*map(json.dumps, r.level.to_json().values()), r.report.verdict)
+        rows += [(*map(json.dumps, r.level.to_json().values()), r.verdict)
                  for r in self.records]
         widths = (5, 5, 5, 5, 5, 3, 5, 0)
         return "".join(" ".join(f"{c:>{w}}" for c, w in zip(row, widths)) + "\n" for row in rows)
@@ -186,27 +189,14 @@ def theorem3_check(N: int, max_closure: int = DEFAULT_MAX_CLOSURE,
 def survey(start: int, stop: int, threads: int = 1,
            max_closure: int = DEFAULT_MAX_CLOSURE,
            max_points: int = DEFAULT_MAX_POINTS) -> list[SurveyRecord]:
-    """Level invariants plus the structure check for every prime in [start, stop].
+    """Level invariants plus the structure-check verdict for every prime in
+    [start, stop], ordered by N.
 
-    Also verifies the genus-zero-quotient side condition: every such level
-    must have 3 not dividing n.  Records come back ordered by N regardless of
-    the worker count.  The pool starts at most min(threads, levels, CPUs) OS
-    threads.
+    Levels run one after another in this thread; `threads` is accepted and
+    ignored.  Records keep verdicts, not points, so memory is bounded by the
+    largest level's check, not by the range.
     """
     if not is_prime(start) or start < 23:
         raise InvalidInputError(f"survey: start must be a prime >= 23, got {start}")
-    levels = primes_in(start, stop)
-
-    def one(N: int) -> SurveyRecord:
-        inv = level_invariants(N)
-        rep = theorem3_check(N, max_closure, max_points)
-        side_ok = (not inv.plus_quotient_genus_zero) or (not inv.three_divides_n)
-        return SurveyRecord(inv, rep, side_ok)
-
-    workers = min(threads, len(levels), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, levels))
-    return [one(N) for N in levels]
+    return [SurveyRecord(level_invariants(N), theorem3_check(N, max_closure, max_points).verdict)
+            for N in primes_in(start, stop)]

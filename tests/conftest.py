@@ -6,9 +6,7 @@ constructor, so the oracle-equivalence and elementary-fact suites quantify
 over both arbitrary and structured actions.
 """
 
-import concurrent.futures
 import math
-import os
 import random
 
 import pytest
@@ -141,29 +139,3 @@ def named_constructor_modules():
 def module_corpus():
     return random_module_corpus() + named_constructor_modules()
 
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Replace ThreadPoolExecutor with an in-thread fake and report 2 CPUs.
-
-    Returns the list of max_workers values the code under test asked for; no
-    OS thread is started.
-    """
-    requested = []
-
-    class FakeExecutor:
-        def __init__(self, max_workers=None):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakeExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return requested

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -195,10 +196,11 @@ class TestGoldenBytes:
 
     def test_failed_verdicts_exit_1(self, capsys, monkeypatch):
         fail = almost_rational_set(cyclotomic_module(3), expected=[(0,)])
-        ok = almost_rational_set(cyclotomic_module(3), expected=[(0,), (1,), (2,)])
         monkeypatch.setattr(modcurve, "theorem3_check", lambda N, **caps: fail)
+        bad_side = dataclasses.replace(level_invariants(37), plus_quotient_genus_zero=True,
+                                       three_divides_n=True)
         monkeypatch.setattr(modcurve, "survey", lambda start, stop, threads=1, **caps:
-                            [SurveyRecord(level_invariants(37), ok, False)])
+                            [SurveyRecord(bad_side, "pass")])
         assert run(capsys, "theorem3", "23")[:2] == (1, (
             "name    : mu_3\n"
             "points  : 3\n"
@@ -210,12 +212,13 @@ class TestGoldenBytes:
         assert run(capsys, "theorem3", "23", "--json")[:2] == (1, (
             '{"name":"mu_3","points":3,"ar_points":[[0],[1],[2]],"expected":[[0]],'
             '"verdict":"fail","ms":0}\n'))
-        # the side condition fails while the structure check passes
+        # the side condition fails while the structure check passes; the failure
+        # is derived from the invariants, so the row shows plus0 and 3|n both true
         assert run(capsys, "survey", "--from", "23", "--to", "41")[:2] == (1, (
             "    N     n genus hyper plus0 N%9   3|n verdict\n"
-            "   37     3     2  true false   1  true pass\n"))
+            "   37     3     2  true  true   1  true pass\n"))
         assert run(capsys, "survey", "--from", "23", "--to", "41", "--json")[:2] == (1, (
-            '{"N":37,"n":3,"genus":2,"hyperelliptic":true,"plus_genus_zero":false,'
+            '{"N":37,"n":3,"genus":2,"hyperelliptic":true,"plus_genus_zero":true,'
             '"N_mod_9":1,"three_div_n":true,"verdict":"pass"}\n'))
 
 
@@ -263,13 +266,6 @@ class TestExitCodes:
         code, _, err = run(capsys, "mu", "11", "--threads", "0")
         assert code == 2 and "--threads" in err
 
-    def test_thread_count_clamped_to_cpu_count(self, capsys, fake_pool):
-        for requested in ("1", "1000000"):
-            code, _, _ = run(capsys, "survey", "--from", "23", "--to", "60",
-                             "--threads", requested)
-            assert code == 0
-        assert fake_pool == [2]  # --threads 1 builds no pool; the CPU count caps the rest
-
     def test_scan_bound_exit(self, capsys, monkeypatch):
         def no_sieve(lo, hi):
             raise AssertionError("sieved past the scan bound")
@@ -291,6 +287,13 @@ class TestExitCodes:
         monkeypatch.setattr(owner, callee, refuse, raising=False)
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("artlab:") and "bound" in err
+
+    def test_witness_modulus_bound_exit(self, capsys):
+        # 2^14300 has more digits than Python prints; 2^10000 is the largest modulus accepted
+        code, out, err = run(capsys, "lemma2", "witness", "--p", "2", "--n", "14300", "--e", "3")
+        assert code == 3 and out == "" and err.startswith("artlab:") and "bound" in err
+        code, out, _ = run(capsys, "lemma2", "witness", "--p", "2", "--n", "10000", "--e", "3")
+        assert code == 0 and out.startswith("p^n     : 2^10000  e=3")
 
     def test_pair_e1_needs_no_bound(self, capsys):
         # x = 3 pairs with y = -1 for every m outside {1, 2, 3, 6}
@@ -409,12 +412,21 @@ class TestCache:
                              "--json", "--cache-dir", cache)
         assert (code1, out1) == (code2, out2)
 
-    def test_corrupted_entry_recomputed_with_warning(self, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt", [
+        lambda envelope: "{broken",
+        lambda envelope: "[1,2]",
+        lambda envelope: '"str"',
+        lambda envelope: json.dumps({**envelope, "output": 42}),
+        lambda envelope: json.dumps({**envelope, "exit_code": "0"}),
+    ], ids=["not_json", "list", "string", "output_not_str", "exit_code_not_int"])
+    def test_corrupted_entry_recomputed_with_warning(self, tmp_path, capsys, corrupt):
         cache = str(tmp_path / "cache")
         _, out1, _ = run(capsys, "mu", "11", "--json", "--cache-dir", cache)
         entry = os.path.join(cache, os.listdir(cache)[0])
+        with open(entry) as fh:
+            envelope = json.load(fh)
         with open(entry, "w") as fh:
-            fh.write("{broken")
+            fh.write(corrupt(envelope))
         code, out2, err = run(capsys, "mu", "11", "--json", "--cache-dir", cache)
         assert code == 0 and out2 == out1
         assert "corrupted" in err

@@ -87,9 +87,8 @@ class Lemma4Audit:
 
 
 def _reduce_rowwise(matrix: Sequence[Sequence[int]], factors: Sequence[int]) -> Matrix:
-    return tuple(
-        tuple(int(x) % factors[i] for x in row) for i, row in enumerate(matrix)
-    )
+    """Row i reduced mod d_i; the entries must already be Python ints."""
+    return tuple([tuple([x % d for x in row]) for row, d in zip(matrix, factors)])
 
 
 def _int_tuple(values, label: str) -> tuple[int, ...]:
@@ -117,19 +116,58 @@ def _check_well_defined(matrix: Matrix, factors: Sequence[int], label: str) -> N
 
 
 def _generate(start, gens, op, cap: int, overflow_message: str) -> tuple:
-    """Everything reachable from start by x -> op(x, g), g in gens, sorted; breadth-first,
-    raising ResourceCapError(overflow_message) once more than cap elements are found."""
+    """The group that gens generate under op, sorted; start is op's identity.
+
+    Dimino's coset extension (G. Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991, ch. 6).  Let H be the group listed so
+    far, generated by the generators before g; a generator already in H is
+    skipped.  Otherwise the right coset H*g is listed, and then, for each new
+    representative r and each generator s up to g, the coset H*(r*s) whenever
+    r*s is not yet listed.  Lemma: the union U of the listed cosets is closed
+    under right multiplication by every generator s up to g.  For a new
+    representative r, H*r*s = H*(r*s) is listed by construction; for the old
+    part H*1, H*s = H when s comes before g, and H*g is the first coset.  A
+    finite set that holds 1 and is closed under right multiplication by the
+    generators is the group they generate, since each inverse is a positive
+    power.  Neither commutativity nor normality of H is used.  Right cosets
+    are disjoint and 1*r = r is free, so the ops are one per element outside
+    the representatives plus one per (representative, generator).  While H
+    = 1 the cosets are single powers of g, so they are listed as g, g^2, ...
+    at one op each.  ResourceCapError(overflow_message) is raised before a
+    coset that would take the count past cap is stored.
+    """
+    elements, used = [start], []
     seen = {start}
-    queue = [start]
-    for x in queue:  # the queue grows while it is read
-        for g in gens:
-            y = op(x, g)
-            if y not in seen:
-                seen.add(y)
-                if len(seen) > cap:
+
+    def add_coset(r):  # H*r is r followed by h*r for the h != 1 in H
+        if len(elements) + 1 + len(moved) > cap:
+            raise ResourceCapError(overflow_message)
+        coset = [r] + [op(h, r) for h in moved]
+        elements.extend(coset)
+        seen.update(coset)
+        reps.append(r)
+
+    for g in gens:
+        if g in seen:
+            continue
+        used.append(g)
+        moved, reps = elements[1:], []
+        if not moved:  # H = 1, so used = [g] and the cosets are the powers of g
+            x = g
+            while x != start:
+                if len(elements) >= cap:
                     raise ResourceCapError(overflow_message)
-                queue.append(y)
-    return tuple(sorted(seen))
+                elements.append(x)
+                seen.add(x)
+                x = op(x, g)
+            continue
+        add_coset(g)
+        for r in reps:  # reps grows while it is read
+            for s in used:
+                rs = op(r, s)
+                if rs not in seen:
+                    add_coset(rs)
+    return tuple(sorted(elements))
 
 
 class GaloisModule:
@@ -233,7 +271,7 @@ class GaloisModule:
     @cached_property
     def closure(self) -> tuple[Matrix, ...]:
         """The group the generators generate, sorted: `_generate` from the identity
-        under compose, capped at max_closure elements."""
+        under compose (one product per element), capped at max_closure elements."""
         return _generate(self.identity(), self.generators, self.compose, self.max_closure,
                          f"{self.name}: closure exceeds cap {self.max_closure}")
 
@@ -555,8 +593,11 @@ def direct_sum(a: GaloisModule, b: GaloisModule,
     The default pairs every generator of each summand with the identity on
     the other, i.e. the full product of the two Galois images.  Pass explicit
     pairs to realize a diagonal image when both actions factor through a
-    common quotient.
+    common quotient.  Explicit pairs are validated in full.  The default
+    pairs need no check: a block-diagonal matrix of automorphisms of the
+    summands is an automorphism of the sum.
     """
+    explicit = pairs is not None
     if pairs is None:
         pairs = [(g, None) for g in a.generators]
         pairs += [(None, g) for g in b.generators]
@@ -571,9 +612,11 @@ def direct_sum(a: GaloisModule, b: GaloisModule,
         right = b.identity() if right is None else _as_matrix(right, kb, f"pair {idx} right")
         gens.append([list(row) + [0] * kb for row in left]
                     + [[0] * ka + list(row) for row in right])
-    return GaloisModule(a.factors + b.factors, gens,
-                        name=name or f"{a.name}+{b.name}",
-                        max_closure=max(a.max_closure, b.max_closure))
+    factors, name = a.factors + b.factors, name or f"{a.name}+{b.name}"
+    max_closure = max(a.max_closure, b.max_closure)
+    if explicit:
+        return GaloisModule(factors, gens, name=name, max_closure=max_closure)
+    return GaloisModule._of_automorphisms(factors, gens, name, max_closure)
 
 
 def _as_matrix(m, k: int, label: str) -> Matrix:

@@ -18,6 +18,8 @@ shrinks strictly and the loop ends.
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def _identity(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -88,5 +90,5 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
 
 def mat_mul(a, b) -> list[list[int]]:
     """Exact integer product of two matrices given as sequences of rows."""
-    n, m, c = len(a), len(b[0]), len(b)
-    return [[sum(a[i][l] * b[l][j] for l in range(c)) for j in range(m)] for i in range(n)]
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]

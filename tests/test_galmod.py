@@ -58,6 +58,32 @@ def _power_loop_reaches_identity(mat, factors):
     return False
 
 
+def _bfs_closure(module):
+    """Reference closure: breadth-first search from the identity, one product
+    per element per generator, with its own naive matrix product."""
+    k = module.rank
+
+    def compose(a, b):
+        return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(k)) % module.factors[i]
+                           for j in range(k)) for i in range(k))
+
+    seen = {module.identity()}
+    queue = [module.identity()]
+    for x in queue:  # the queue grows while it is read
+        for g in module.generators:
+            y = compose(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return tuple(sorted(seen))
+
+
+def _gl2_3(max_closure=10 ** 3):
+    """GL_2(Z/3), order 48: a non-abelian image with three generators."""
+    return GaloisModule((3, 3), [[[1, 1], [0, 1]], [[0, 1], [2, 0]], [[2, 0], [0, 1]]],
+                        name="gl2_3", max_closure=max_closure)
+
+
 class TestValidation:
     def test_rank_one_unit_scalar_is_valid(self):
         m = GaloisModule((5,), [[[2]]])
@@ -95,6 +121,13 @@ class TestValidation:
                 m.closure
         # the cap counts elements: a closure of exactly max_closure is allowed
         assert len(GaloisModule((101,), [[[2]]], max_closure=100).closure) == 100
+        with pytest.raises(ResourceCapError, match="^module: closure exceeds cap 99$"):
+            GaloisModule((101,), [[[2]]], max_closure=99).closure
+        # the same on a non-abelian group, where the count grows a coset at a time
+        assert len(_gl2_3(max_closure=48).closure) == 48
+        m = _gl2_3(max_closure=47)
+        with pytest.raises(ResourceCapError, match=f"^{m.name}: closure exceeds cap 47$"):
+            m.closure
 
     def test_invertibility_matches_power_loop_oracle(self):
         rng = random.Random(17)
@@ -191,6 +224,34 @@ class TestClosure:
         assert m.closure == again.closure
         assert m.identity() in m.closure
         assert list(m.closure) == sorted(m.closure)
+
+    def test_closure_matches_bfs_oracle_on_corpus(self, module_corpus):
+        for m in module_corpus:
+            assert m.closure == _bfs_closure(m), m.name
+
+    def test_closure_matches_bfs_oracle_on_gl2_3(self):
+        m = _gl2_3()
+        assert len(m.closure) == 48
+        assert m.closure == _bfs_closure(m)
+
+    def test_closure_needs_a_representative_outside_the_new_cyclic_group(self):
+        # GL_2(Z/2) from two involutions h, g: H*<g> = {1, h, g, hg} has 4 of
+        # the 6 elements, so some coset representative is not a power of g
+        h, g = ((0, 1), (1, 0)), ((1, 0), (1, 1))
+        m = GaloisModule((2, 2), [h, g])
+        one = m.identity()
+        assert len({m.compose(x, y) for x in (one, h) for y in (one, g)}) == 4
+        assert len(m.closure) == 6
+        assert m.closure == _bfs_closure(m)
+
+    def test_repeated_and_identity_generators_change_nothing(self):
+        base = _gl2_3()
+        one, a, b, c = base.identity(), *base.generators
+        for gens in ([a, a, b, c], [one, a, b, c], [a, b, one, b, c, a], [one, one]):
+            m = GaloisModule((3, 3), gens)
+            assert m.closure == _bfs_closure(m)
+        assert GaloisModule((3, 3), [a, a, b, c]).closure == base.closure
+        assert GaloisModule((3, 3), [one, one]).closure == (one,)
 
     def test_closure_closed_under_composition(self, module_corpus):
         rng = random.Random(7)
@@ -519,6 +580,25 @@ class TestDirectSum:
         with pytest.raises(InvalidInputError, match="pairing"):
             direct_sum(cyclotomic_module(5), cyclotomic_module(5),
                        pairs=[(((2,),),)])
+
+    def test_default_sum_equals_validated_block_sum(self, module_corpus):
+        # the default sum skips validation; building the same blocks through
+        # GaloisModule() validates them, and must give the same module
+        rng = random.Random(14)
+        mods = rng.sample(module_corpus, 40)
+        pairs = list(zip(mods[::2], mods[1::2]))
+        pairs += [(constant_module(n), cyclotomic_module(n)) for n in (11, 12, 30, 62)]
+        pairs += [(_gl2_3(), cyclotomic_module(8)), (cyclotomic_module(9), _gl2_3())]
+        for a, b in pairs:
+            ka, kb = a.rank, b.rank
+            blocks = [[list(r) + [0] * kb for r in g] + [[0] * ka + list(r) for r in b.identity()]
+                      for g in a.generators]
+            blocks += [[list(r) + [0] * kb for r in a.identity()] + [[0] * ka + list(r) for r in g]
+                       for g in b.generators]
+            full = GaloisModule(a.factors + b.factors, blocks, max_closure=10 ** 6)
+            s = direct_sum(a, b)
+            assert s.generators == full.generators, (a.name, b.name)
+            assert s.closure == full.closure, (a.name, b.name)
 
     def test_explicit_diagonal_pairing(self):
         # pair multiplication-by-2 with multiplication-by-2: diagonal image

@@ -32,6 +32,7 @@ from .modarith import unit_group_generators
 from .snf import mat_mul, smith_normal_form
 
 KERNEL_POINT_BOUND = 2 ** 31  # keeps every kernel matrix product and offset code below 2**63
+SPAN_POINT_BOUND = 2 ** 62  # keeps every span code, and col + multiple < 2d, below 2**63
 
 Matrix = tuple[tuple[int, ...], ...]
 Point = tuple[int, ...]
@@ -113,61 +114,6 @@ def _check_well_defined(matrix: Matrix, factors: Sequence[int], label: str) -> N
                     f"{label}: entry ({i + 1},{j + 1})={matrix[i][j]} must be divisible "
                     f"by {req} = d_{i + 1}/gcd(d_{i + 1}, d_{j + 1}) to define a "
                     f"homomorphism on Z/{factors[j]} -> Z/{factors[i]}")
-
-
-def _generate(start, gens, op, cap: int, overflow_message: str) -> tuple:
-    """The group that gens generate under op, sorted; start is op's identity.
-
-    Dimino's coset extension (G. Butler, Fundamental Algorithms for
-    Permutation Groups, LNCS 559, 1991, ch. 6).  Let H be the group listed so
-    far, generated by the generators before g; a generator already in H is
-    skipped.  Otherwise the right coset H*g is listed, and then, for each new
-    representative r and each generator s up to g, the coset H*(r*s) whenever
-    r*s is not yet listed.  Lemma: the union U of the listed cosets is closed
-    under right multiplication by every generator s up to g.  For a new
-    representative r, H*r*s = H*(r*s) is listed by construction; for the old
-    part H*1, H*s = H when s comes before g, and H*g is the first coset.  A
-    finite set that holds 1 and is closed under right multiplication by the
-    generators is the group they generate, since each inverse is a positive
-    power.  Neither commutativity nor normality of H is used.  Right cosets
-    are disjoint and 1*r = r is free, so the ops are one per element outside
-    the representatives plus one per (representative, generator).  While H
-    = 1 the cosets are single powers of g, so they are listed as g, g^2, ...
-    at one op each.  ResourceCapError(overflow_message) is raised before a
-    coset that would take the count past cap is stored.
-    """
-    elements, used = [start], []
-    seen = {start}
-
-    def add_coset(r):  # H*r is r followed by h*r for the h != 1 in H
-        if len(elements) + 1 + len(moved) > cap:
-            raise ResourceCapError(overflow_message)
-        coset = [r] + [op(h, r) for h in moved]
-        elements.extend(coset)
-        seen.update(coset)
-        reps.append(r)
-
-    for g in gens:
-        if g in seen:
-            continue
-        used.append(g)
-        moved, reps = elements[1:], []
-        if not moved:  # H = 1, so used = [g] and the cosets are the powers of g
-            x = g
-            while x != start:
-                if len(elements) >= cap:
-                    raise ResourceCapError(overflow_message)
-                elements.append(x)
-                seen.add(x)
-                x = op(x, g)
-            continue
-        add_coset(g)
-        for r in reps:  # reps grows while it is read
-            for s in used:
-                rs = op(r, s)
-                if rs not in seen:
-                    add_coset(rs)
-    return tuple(sorted(elements))
 
 
 class GaloisModule:
@@ -270,10 +216,47 @@ class GaloisModule:
 
     @cached_property
     def closure(self) -> tuple[Matrix, ...]:
-        """The group the generators generate, sorted: `_generate` from the identity
-        under compose (one product per element), capped at max_closure elements."""
-        return _generate(self.identity(), self.generators, self.compose, self.max_closure,
-                         f"{self.name}: closure exceeds cap {self.max_closure}")
+        """The group the generators generate under compose, sorted, by Dimino's
+        coset extension (G. Butler, Fundamental Algorithms for Permutation
+        Groups, LNCS 559, 1991, ch. 6).  Let H be the group listed so
+        far, generated by the generators before g; a generator already in H is
+        skipped.  Otherwise the right coset H*g is listed, and then, for each new
+        representative r and each generator s up to g, the coset H*(r*s) whenever
+        r*s is not yet listed.  Lemma: the union U of the listed cosets is closed
+        under right multiplication by every generator s up to g.  For a new
+        representative r, H*r*s = H*(r*s) is listed by construction; for the old
+        part H*1, H*s = H when s comes before g, and H*g is the first coset.  A
+        finite set that holds 1 and is closed under right multiplication by the
+        generators is the group they generate, since each inverse is a positive
+        power.  Neither commutativity nor normality of H is used.  Right cosets
+        are disjoint and 1*r = r is free, so the products are one per element
+        outside the representatives plus one per (representative, generator).
+        ResourceCapError is raised before a coset that would take the count past
+        max_closure is stored.
+        """
+        elements, used = [self.identity()], []
+        seen = set(elements)
+
+        def add_coset(r):  # H*r is r followed by h*r for the h != 1 in H
+            if len(elements) + 1 + len(moved) > self.max_closure:
+                raise ResourceCapError(f"{self.name}: closure exceeds cap {self.max_closure}")
+            coset = [r] + [self.compose(h, r) for h in moved]
+            elements.extend(coset)
+            seen.update(coset)
+            reps.append(r)
+
+        for g in self.generators:
+            if g in seen:
+                continue
+            used.append(g)
+            moved, reps = elements[1:], []
+            add_coset(g)
+            for r in reps:  # reps grows while it is read
+                for s in used:
+                    rs = self.compose(r, s)
+                    if rs not in seen:
+                        add_coset(rs)
+        return tuple(sorted(elements))
 
     def __repr__(self):
         return f"GaloisModule({self.name}: factors={self.factors}, gens={len(self.generators)})"
@@ -488,34 +471,45 @@ def _fixed_generators(module: GaloisModule) -> list[Point]:
     return sorted(gens - {module.zero()})
 
 
-def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point]) -> np.ndarray:
+def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point], cap: int,
+                overflow_message: str) -> np.ndarray:
     """The sorted grid indices of start + ⟨gens⟩; start holds the sorted grid
     indices of 0 and of points in other, distinct cosets of ⟨gens⟩.  Each h
     adds X + s*h for 0 < s < t, X the set so far and t the least s >= 1 with
-    s*h in X, so in ⟨gens before h⟩: every element is built once."""
+    s*h in X, so in ⟨gens before h⟩: every element is built once.
+    ResourceCapError(overflow_message) is raised before s = 0 .. order(h) - 1
+    exists if order(h) > cap, and before a step of len(X) * t > cap codes.
+    Coordinate x mod d of s*h is g * (s * (x/g) mod d/g), g = gcd(x, d): s *
+    (x/g) < order(h)^2 <= cap^2, and < 2**62 when |M| <= 2**31 (the a.r.
+    path), where s * x wraps in int64 once d > 3e9.  With |M| <= 2**62, codes
+    and col + multiple < 2d fit in int64."""
     import numpy as np
 
     span = start
     for h in gens:
-        s = np.arange(module.order_of(h), dtype=np.int64)
-        multiples = np.ravel_multi_index(
-            tuple(s * x % d for x, d in zip(h, module.factors)), module.factors)
+        order = module.order_of(h)
+        if order > cap:
+            raise ResourceCapError(overflow_message)
+        s = np.arange(order, dtype=np.int64)
+        steps = [s * (x // g) % (d // g) * g
+                 for x, d in zip(h, module.factors) for g in [math.gcd(x, d)]]
+        multiples = np.ravel_multi_index(tuple(steps), module.factors)
         pos = np.minimum(np.searchsorted(span, multiples), len(span) - 1)
         inside = np.flatnonzero(span[pos] == multiples)  # s = 0 always
-        s = s[:inside[1] if len(inside) > 1 else len(s)]
-        codes = np.zeros((len(span), len(s)), dtype=np.int64)
-        for col, x, d in zip(np.unravel_index(span, module.factors), h, module.factors):
+        t = int(inside[1]) if len(inside) > 1 else order
+        if len(span) * t > cap:
+            raise ResourceCapError(overflow_message)
+        codes = np.zeros((len(span), t), dtype=np.int64)
+        for col, step, d in zip(np.unravel_index(span, module.factors), steps, module.factors):
             codes *= d
-            codes += (col[:, None] + s * x) % d
+            codes += (col[:, None] + step[:t]) % d
         span = np.sort(codes, axis=None)
     return span
 
 
 def almost_rational_set(module: GaloisModule,
-                        expected: Optional[Iterable[Point]] = None,
                         max_points: int = DEFAULT_MAX_POINTS) -> ARTReport:
-    """Enumerate the almost-rational points, sorted, with optional comparison
-    against an expected subgroup.
+    """Enumerate the almost-rational points, sorted; the report's expected is None.
 
     The a.r. set is a union of preimages of Galois orbits on M/F, F the
     fixed subgroup:
@@ -546,10 +540,9 @@ def almost_rational_set(module: GaloisModule,
     del qpts, lab, bad
     _check_cap(module, len(lifts) * n_fixed, "almost-rational points", max_points)
     start = np.sort(np.ravel_multi_index(tuple(lifts.T), module.factors))
-    ar = tuple(_rows(module, _span_codes(module, start, gens)))
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    exp = None if expected is None else tuple(sorted(module.check_point(p) for p in expected))
-    return ARTReport(module.name, module.point_count, ar, exp, elapsed)
+    ar = tuple(_rows(module, _span_codes(module, start, gens, max_points,
+                                         f"{module.name}: span exceeds cap {max_points} points")))
+    return ARTReport(module.name, module.point_count, ar, None, (time.perf_counter() - t0) * 1e3)
 
 
 # -- constructors -------------------------------------------------------
@@ -627,11 +620,17 @@ def _as_matrix(m, k: int, label: str) -> Matrix:
 
 
 def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, ...]:
-    """The subgroup the points generate, sorted: `_generate` from zero under add,
-    capped at DEFAULT_MAX_POINTS points."""
-    return _generate(module.zero(), [module.check_point(p) for p in gens], module.add,
-                     DEFAULT_MAX_POINTS,
-                     f"{module.name}: span exceeds cap {DEFAULT_MAX_POINTS} points")
+    """The subgroup the points generate, sorted: `_span_codes` from 0, capped at
+    DEFAULT_MAX_POINTS points, on modules of at most SPAN_POINT_BOUND points."""
+    import numpy as np
+
+    gens = [module.check_point(p) for p in gens]
+    if module.point_count > SPAN_POINT_BOUND:
+        raise ResourceCapError(
+            f"{module.name}: {module.point_count} points overflow int64 span codes")
+    cap = DEFAULT_MAX_POINTS  # read per call, so a patched cap applies
+    return tuple(_rows(module, _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap,
+                                           f"{module.name}: span exceeds cap {cap} points")))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from .errors import InvalidInputError
 from .galmod import (
     ARTReport,
@@ -180,10 +180,11 @@ def eisenstein_model(N: int, max_closure: int = DEFAULT_MAX_CLOSURE) -> Eisenste
 def theorem3_check(N: int, max_closure: int = DEFAULT_MAX_CLOSURE,
                    max_points: int = DEFAULT_MAX_POINTS) -> ARTReport:
     """Compare the computed almost-rational set of the level-N model with the
-    subgroup generated by the cuspidal image and the 3-torsion of the mu image."""
+    subgroup generated by the cuspidal image and the 3-torsion of the mu image
+    (the model's `subgroup_span` output, checked and sorted there)."""
     model = eisenstein_model(N, max_closure)
-    return almost_rational_set(model.module, expected=model.expected_ar,
-                               max_points=max_points)
+    return replace(almost_rational_set(model.module, max_points=max_points),
+                   expected=model.expected_ar)
 
 
 def survey(start: int, stop: int, threads: int = 1,

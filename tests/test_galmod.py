@@ -78,6 +78,22 @@ def _bfs_closure(module):
     return tuple(sorted(seen))
 
 
+def _tuple_span(module, gens):
+    """Reference span: the tuple-by-tuple loop with the module's own addition
+    and no cap.  Each generator g adds the cosets H + g, H + 2g, ... up to the
+    first multiple already listed, H the subgroup so far."""
+    elements = [module.zero()]
+    seen = set(elements)
+    for g in gens:
+        old, x = list(elements), g
+        while x not in seen:
+            coset = [module.add(h, x) for h in old]
+            elements.extend(coset)
+            seen.update(coset)
+            x = module.add(x, g)
+    return tuple(sorted(elements))
+
+
 def _gl2_3(max_closure=10 ** 3):
     """GL_2(Z/3), order 48: a non-abelian image with three generators."""
     return GaloisModule((3, 3), [[[1, 1], [0, 1]], [[0, 1], [2, 0]], [[2, 0], [0, 1]]],
@@ -336,9 +352,10 @@ class TestEnumeration:
         assert len(almost_rational_set(constant_module(6)).ar_points) == 6
 
     def test_expected_comparison_verdicts(self):
-        rep = almost_rational_set(cyclotomic_module(11), expected=[(0,)])
+        rep = dataclasses.replace(almost_rational_set(cyclotomic_module(11)), expected=((0,),))
         assert rep.verdict == "pass"
-        rep = almost_rational_set(cyclotomic_module(11), expected=[(0,), (1,)])
+        rep = dataclasses.replace(almost_rational_set(cyclotomic_module(11)),
+                                  expected=((0,), (1,)))
         assert rep.verdict == "fail"
 
     def test_point_cap(self):
@@ -631,6 +648,43 @@ class TestSubgroupAndQuotient:
         for g in gens:
             combos = {m.add(s, m.scale(a, g)) for s in combos for a in range(m.order_of(g))}
         assert subgroup_span(m, gens) == tuple(sorted(combos))
+
+    def test_span_matches_tuple_reference_on_corpus(self, module_corpus):
+        rng = random.Random(15)
+        for m in module_corpus:
+            gens = [tuple(rng.randrange(d) for d in m.factors) for _ in range(rng.randrange(4))]
+            assert subgroup_span(m, gens) == _tuple_span(m, gens), (m.name, gens)
+
+    def test_span_matches_tuple_reference_on_eisenstein_generators(self):
+        for N in primes_in(23, 300):
+            model = eisenstein_model(N)
+            m, gens = model.module, [model.c_generator]
+            if model.n % 3 == 0:
+                gens.append(m.scale(model.n // 3, model.sigma_generator))
+            span = subgroup_span(m, gens)
+            assert span == _tuple_span(m, gens) == model.expected_ar, N
+
+    def test_span_exact_where_plain_int64_multiples_wrap(self):
+        # s * x for s < 70,000 and x near 10**15 passes 2**63; the gcd form does not
+        m, h = GaloisModule((10 ** 15, 7), []), (999900000000000, 3)
+        assert 69_999 * h[0] > 2 ** 63
+        span = subgroup_span(m, [h])
+        assert len(span) == 70_000 and span == _tuple_span(m, [h])
+
+    def test_span_cap_raises_before_allocating(self):
+        # order 2**40 > 10**7: refused before any array of multiples exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="span exceeds cap"):
+                subgroup_span(GaloisModule((2 ** 40,), []), [(1,)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    def test_span_refuses_modules_past_int64_codes(self):
+        with pytest.raises(ResourceCapError, match="overflow"):
+            subgroup_span(GaloisModule((2 ** 40, 2 ** 30), []), [(2 ** 39, 0)])
 
     def test_span_cap(self, monkeypatch):
         monkeypatch.setattr(galmod, "DEFAULT_MAX_POINTS", 99)

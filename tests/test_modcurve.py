@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from artlab import (
+    GaloisModule,
     InvalidInputError,
     eisenstein_model,
     eisenstein_number,
@@ -144,6 +145,15 @@ class TestTheorem3:
     def test_expected_subgroup_includes_sigma_three_torsion(self):
         model = eisenstein_model(37)
         assert len(model.expected_ar) == 9  # C + Sigma[3] is everything at n = 3
+
+    @pytest.mark.parametrize("N", [2003, 100003])
+    def test_expected_set_is_checked_once(self, N, monkeypatch):
+        # the expected set comes from subgroup_span, which checked its generators
+        calls, check = [], GaloisModule.check_point
+        monkeypatch.setattr(GaloisModule, "check_point",
+                            lambda self, p: calls.append(p) or check(self, p))
+        assert theorem3_check(N).verdict == "pass"
+        assert len(calls) <= 10
 
     def test_passes_through_primes_to_150(self):
         for N in primes_in(23, 150):

@@ -10,8 +10,8 @@ class InvalidInputError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when a computation would exceed a configured cap (closure size,
-    point count, prime bound).  Fail loudly rather than thrash."""
+    """Raised when a computation would exceed a configured cap (orbit or closure
+    size, point count, prime bound).  Fail loudly rather than thrash."""
 
 
 # Defaults of the caps above; here so the CLI parser needs no compute module.

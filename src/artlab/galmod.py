@@ -8,11 +8,11 @@ reduced mod d_i, so equal automorphisms are equal tuples.
 A point p is almost rational when sigma(p) - p = p - tau(p) forces
 sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
 difference set {sigma(p) - p} meets its own negation only in 0.  The
-production predicate is the difference-set test in one block kernel,
-`_not_ar_mask`; the literal two-quantifier loop is an independent oracle.
+production predicate is one orbit kernel, `_not_ar_mask`, which never lists
+the group; the literal two-quantifier loop is an independent oracle.
 `almost_rational_set` runs the kernel on a lift of one point per Galois
 orbit of M/F, F the rational (fixed) points, and adds F back.  Two lemmas
-make that exact: D_{tau p} = tau(D_p) for tau in the closure, and
+make that exact: D_{tau p} = tau(D_p) for tau in the group, and
 D_{p+q} = D_p for q in F.
 """
 
@@ -31,7 +31,7 @@ from .errors import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_POINTS, InvalidInputError, 
 from .modarith import unit_group_generators
 from .snf import mat_mul, smith_normal_form
 
-KERNEL_POINT_BOUND = 2 ** 31  # keeps every kernel matrix product and offset code below 2**63
+ORBIT_BLOCK = 1 << 20  # orbit points a block of several representatives may hold
 SPAN_POINT_BOUND = 2 ** 62  # keeps every span code, and col + multiple < 2d, below 2**63
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -218,21 +218,14 @@ class GaloisModule:
     def closure(self) -> tuple[Matrix, ...]:
         """The group the generators generate under compose, sorted, by Dimino's
         coset extension (G. Butler, Fundamental Algorithms for Permutation
-        Groups, LNCS 559, 1991, ch. 6).  Let H be the group listed so
-        far, generated by the generators before g; a generator already in H is
-        skipped.  Otherwise the right coset H*g is listed, and then, for each new
-        representative r and each generator s up to g, the coset H*(r*s) whenever
-        r*s is not yet listed.  Lemma: the union U of the listed cosets is closed
-        under right multiplication by every generator s up to g.  For a new
-        representative r, H*r*s = H*(r*s) is listed by construction; for the old
-        part H*1, H*s = H when s comes before g, and H*g is the first coset.  A
-        finite set that holds 1 and is closed under right multiplication by the
-        generators is the group they generate, since each inverse is a positive
-        power.  Neither commutativity nor normality of H is used.  Right cosets
-        are disjoint and 1*r = r is free, so the products are one per element
-        outside the representatives plus one per (representative, generator).
-        ResourceCapError is raised before a coset that would take the count past
-        max_closure is stored.
+        Groups, LNCS 559, 1991, ch. 6): a generator g outside the group H listed
+        so far adds the right coset H*g, then H*(r*s) for each new
+        representative r and generator s up to g with r*s not yet listed.
+        Lemma: the cosets are then closed under right multiplication by each s
+        up to g (H*s = H for s before g, H*r*s = H*(r*s)), so they are the
+        group, each inverse being a positive power.  About one product per
+        element; ResourceCapError is raised before a coset past max_closure is
+        stored.  The naive oracle and the lemma audits read it; no a.r. path does.
         """
         elements, used = [self.identity()], []
         seen = set(elements)
@@ -336,51 +329,42 @@ def _point_grid(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> n
     import numpy as np
 
     _check_cap(module, module.point_count, "points", max_points)
-    _check_kernel_bound(module)
+    _check_int64(module, module.factors)
     # broadcast views, so the stacked copy is the only (n, k) array allocated
     grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in module.factors),
                         indexing="ij", copy=False)
     return np.stack(grids, axis=-1).reshape(module.point_count, module.rank)
 
 
-def _orbit_labels(module: GaloisModule, pts: np.ndarray, order_bound: int) -> np.ndarray:
-    """For every grid row, the least grid index in its orbit under the
-    generators; order_bound is a multiple of every generator's order.
+def _orbit_labels(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
+    """For every grid row, the least grid index in its orbit under the generators.
 
-    A generator g pulls labels through g, g^2, g^4, ... up to 2^L >=
-    order_bound (lab = min(lab, lab[image])), so each cycle of g ends up
-    carrying its least label.  Pointer jumping (lab = lab[lab]) and further
-    passes run until the labels are constant under every generator, hence
-    on every orbit.  Image grid indices are built by Horner's rule.
+    A generator g pulls labels through g, g^2, g^4, ... (lab = min(lab,
+    lab[image]), each image the square of the last as a grid permutation), so
+    lab(x) becomes the least label on x, g x, ..., g^(2^j - 1) x, until a pull
+    changes nothing (as once g^(2^j) = 1).  Lemma: then lab(x) <= lab(h x) <=
+    ... <= lab(x) for h = g^(2^j), and the windows at x, h x, ... tile the
+    g-cycle of x.  Passes of pulls and pointer jumping (lab = lab[lab]) run
+    until a pass moves no label, so the labels are constant on every orbit.
     """
     import numpy as np
 
-    identity = module.identity()
+    mods = np.array(module.factors, dtype=np.int64)[:, None]
+    weights = np.array([math.prod(module.factors[i + 1:]) for i in range(module.rank)])
 
-    def image(mat):
-        code = np.zeros(len(pts), dtype=np.int64)
-        for row, d in zip(mat, module.factors):
-            code *= d
-            code += pts @ np.array(row, dtype=np.int64) % d
-        return code
-
-    def pull(mat):
-        for _ in range((order_bound - 1).bit_length()):
-            if mat == identity:  # g^(2^j) = 1: its cycles are already covered
-                return
-            np.minimum(lab, lab[image(mat)], out=lab)
-            mat = module.compose(mat, mat)
+    def pull(g):  # whether a label moved
+        image = weights @ (np.array(g, dtype=np.int64) @ pts.T % mods)
+        moved = False
+        while ((pulled := lab[image]) < lab).any():
+            np.minimum(lab, pulled, out=lab)
+            image, moved = image[image], True
+        return moved
 
     lab = np.arange(len(pts))
-    for g in module.generators:
-        pull(g)
-    while True:
+    while any([pull(g) for g in module.generators]):  # every pull, then jumps
         while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
-        if all(np.array_equal(lab[image(g)], lab) for g in module.generators):
-            return lab
-        for g in module.generators:
-            pull(g)
+    return lab
 
 
 def _check_cap(module: GaloisModule, count: int, what: str, max_points: int) -> None:
@@ -388,59 +372,76 @@ def _check_cap(module: GaloisModule, count: int, what: str, max_points: int) -> 
         raise ResourceCapError(f"{module.name}: {count} {what} exceeds the cap {max_points}")
 
 
-def _check_kernel_bound(module: GaloisModule) -> None:
-    if module.point_count > KERNEL_POINT_BOUND:
-        raise ResourceCapError(
-            f"{module.name}: {module.point_count} points overflow int64 difference codes")
+def _check_int64(module: GaloisModule, cols: Sequence[int]) -> None:
+    """Refuse unless |M| and each sum_j a_j x_j, a_j < max(d), x_j < cols[j], stay
+    below 2**63, so that int64 codes, matrix products and lifts are exact."""
+    if module.point_count >= 2 ** 63 or (max(module.factors) - 1) * sum(cols) >= 2 ** 63:
+        raise ResourceCapError(f"{module.name}: factors {module.factors} overflow int64 products")
 
 
 def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     """The difference-set test on an (n, k) block of points: True where not a.r.
 
-    Per chunk, the mixed-radix codes c < total of D_i = {sigma(p_i) - p_i}
-    and of -D_i are built by Horner's rule one coordinate at a time, in
-    place, so no |closure| x chunk x k array exists.  The offset code
-    i*total + c is unique per pair (i, c), so after one sort of the offset
-    difference codes, searchsorted finds i*total + code(-d) exactly when -d
-    lies in D_i; a hit with d != 0 marks p_i as not almost rational.
-    Repeated codes are harmless.  Exact integer arithmetic throughout.
+    D_p = {x - p : x in G p}, and x - p is in -D_p iff 2p - x is in G p, so p
+    is not a.r. iff some x != p in its orbit has 2p - x in it: G is never
+    listed.  Orbits grow by doubling, X <- X u g^(2^j) X for j = 0, 1, ...,
+    until g^(2^j) X lies in X or g^(2^j) = 1.  Lemma: the stop is exact, since
+    if X = u_{i<2^j} g^i X0, then g X lies in X u g^(2^j) X0.  The generators
+    take turns until each finds X closed since the last growth.  Column (r,
+    x), key r*|M| + code(x), is x in the orbit of the block's r-th point,
+    found by searchsorted in the sorted keys.  `_check_int64` keeps |M| and
+    each sum_j A_ij x_j below 2**63, and a block has at most (2**63 - 1) // |M|
+    points, so no key wraps.  An orbit past max_closure points raises
+    ResourceCapError, and a block of several points whose orbits pass
+    ORBIT_BLOCK columns is halved: at most max(ORBIT_BLOCK, 2 * max_closure)
+    orbit points, and one image of them, are held at once.
     """
     import numpy as np
 
-    total = module.point_count
-    _check_kernel_bound(module)
+    _check_int64(module, module.factors)
+    k, cap, gens = module.rank, module.max_closure, module.generators
+    mods = np.array(module.factors, dtype=np.int64)[:, None]
+    weights = np.array([math.prod(module.factors[i:]) for i in range(k + 1)], dtype=np.int64)
+    one = np.eye(k + 1, dtype=int).tolist()
+
+    def mark(lo, hi):  # marks bad[lo:hi]; False when the block must be halved
+        x = np.vstack((np.arange(hi - lo), pts[lo:hi].T))  # one column per point
+        keys = weights @ x  # sorted, as r grows
+        quiet = i = 0
+        while quiet < len(gens):
+            g, quiet, i = gens[i], quiet + 1, (i + 1) % len(gens)
+            t = np.array([(1,) + (0,) * k] + [(0,) + row for row in g], dtype=np.int64)
+            while t.tolist() != one:  # t is g^(2^j), bordered
+                y = t @ x
+                y[1:] %= mods
+                ykeys = weights @ y
+                new = keys.take(keys.searchsorted(ykeys), mode="clip") != ykeys
+                y = np.compress(new, y, axis=1)
+                if not y.shape[1]:
+                    break
+                if x.shape[1] + y.shape[1] > ORBIT_BLOCK and hi - lo > 1:
+                    return False
+                x = np.concatenate((x, y), axis=1)
+                if x.shape[1] > cap and np.bincount(x[0]).max() > cap:
+                    raise ResourceCapError(f"{module.name}: orbit exceeds cap {cap}")
+                keys = np.sort(np.concatenate((keys, ykeys[new])))
+                quiet, t = 1, t @ t
+                t[1:] %= mods
+        r, rest = x[0, hi - lo:], x[1:, hi - lo:]  # orbit points past the block's own
+        z = 2 * x[1:, r] - rest  # 2p - x
+        z %= mods
+        zkeys = weights[1:] @ z + weights[0] * r
+        bad[lo + r[keys.take(keys.searchsorted(zkeys), mode="clip") == zkeys]] = True
+        return True
+
     pts = np.asarray(pts, dtype=np.int64)
-    mats = np.array(module.closure, dtype=np.int64)
-    s = len(mats)
     bad = np.zeros(len(pts), dtype=bool)
-    chunk = max(1, 4_000_000 // s)  # at most max(4e6, s) codes per haystack
-    for start in range(0, len(pts), chunk):
-        block = pts[start:start + chunk]
-        c = len(block)
-        d_codes = np.zeros((s, c), dtype=np.int64)
-        n_codes = np.zeros((s, c), dtype=np.int64)
-        coord = np.empty((s, c), dtype=np.int64)
-        for i, d in enumerate(module.factors):
-            np.matmul(mats[:, i, :], block.T, out=coord)
-            coord -= block[:, i]
-            coord %= d
-            d_codes *= d
-            d_codes += coord
-            np.negative(coord, out=coord)
-            coord %= d
-            n_codes *= d
-            n_codes += coord
-        del coord  # one (s, c) array fewer while the sort and search allocate
-        nonzero = n_codes != 0
-        offsets = np.arange(c, dtype=np.int64) * total
-        d_codes += offsets
-        n_codes += offsets
-        hay = d_codes.ravel()
-        hay.sort()
-        pos = np.searchsorted(hay, n_codes.ravel())
-        np.take(hay, pos, mode="clip", out=pos)  # a needle past the end reads hay[-1]
-        hit = (pos == n_codes.ravel()).reshape(s, c) & nonzero
-        bad[start:start + c] = hit.any(axis=0)
+    width = max(1, min(ORBIT_BLOCK, (2 ** 63 - 1) // module.point_count))
+    todo = [(lo, min(lo + width, len(pts))) for lo in range(0, len(pts), width)]
+    while todo:
+        lo, hi = todo.pop()
+        if not mark(lo, hi):
+            todo += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
     return bad
 
 
@@ -478,17 +479,17 @@ def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point], 
     adds X + s*h for 0 < s < t, X the set so far and t the least s >= 1 with
     s*h in X, so in ⟨gens before h⟩: every element is built once.
     ResourceCapError(overflow_message) is raised before s = 0 .. order(h) - 1
-    exists if order(h) > cap, and before a step of len(X) * t > cap codes.
-    Coordinate x mod d of s*h is g * (s * (x/g) mod d/g), g = gcd(x, d): s *
-    (x/g) < order(h)^2 <= cap^2, and < 2**62 when |M| <= 2**31 (the a.r.
-    path), where s * x wraps in int64 once d > 3e9.  With |M| <= 2**62, codes
-    and col + multiple < 2d fit in int64."""
+    exists if order(h) > cap or order(h)^2 >= 2**63, and before a step of
+    len(X) * t > cap codes.  Coordinate x mod d of s*h is g * (s * (x/g) mod
+    d/g), g = gcd(x, d), and s * (x/g) < order(h)^2, where s * x wraps in
+    int64 once d > 3e9.  With |M| <= 2**62, codes and col + multiple < 2d
+    fit in int64."""
     import numpy as np
 
     span = start
     for h in gens:
         order = module.order_of(h)
-        if order > cap:
+        if order > cap or order ** 2 >= 2 ** 63:
             raise ResourceCapError(overflow_message)
         s = np.arange(order, dtype=np.int64)
         steps = [s * (x // g) % (d // g) * g
@@ -513,16 +514,15 @@ def almost_rational_set(module: GaloisModule,
 
     The a.r. set is a union of preimages of Galois orbits on M/F, F the
     fixed subgroup:
-    - for tau in the closure, D_{tau p} = tau(D_p), since sigma(tau p) -
-      tau p = tau(tau^-1 sigma tau (p) - p) and conjugation by tau permutes
-      the closure; tau is an automorphism, so D_{tau p} meets its negation
-      only in 0 exactly when D_p does;
+    - for tau in G, D_{tau p} = tau(D_p), since sigma(tau p) - tau p = tau(tau^-1
+      sigma tau (p) - p) and conjugation by tau permutes G; tau is an
+      automorphism, so D_{tau p} meets its negation only in 0 iff D_p does;
     - for q in F, D_{p+q} = D_p, since sigma(p + q) - (p + q) = sigma(p) - p;
       and tau(p + q) = tau(p) + q.
-    So the kernel runs on a lift of one point per orbit of the grid of M/F
-    (`_orbit_labels`), and the a.r. set is {lift(q) + f : q a.r., f in F}.
+    So the orbit kernel runs on a lift of one point per orbit of the grid of
+    M/F (`_orbit_labels`), and the a.r. set is {lift(q) + f : q a.r., f in F}.
     max_points bounds |F|, |M/F| and the output, each checked before it is
-    allocated; no grid of M is built.
+    allocated, and max_closure each orbit; no grid of M and no closure is built.
     """
     import numpy as np
 
@@ -532,7 +532,7 @@ def almost_rational_set(module: GaloisModule,
     n_fixed = module.point_count // pres.module.point_count
     _check_cap(module, n_fixed, "rational points", max_points)
     qpts = _point_grid(pres.module, max_points)
-    lab = _orbit_labels(pres.module, qpts, len(module.closure))
+    lab = _orbit_labels(pres.module, qpts)
     reps = np.flatnonzero(lab == np.arange(len(lab)))
     bad = np.zeros(len(lab), dtype=bool)
     bad[reps] = _not_ar_mask(module, pres.lift(qpts[reps]))
@@ -689,7 +689,7 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     def lift(q):  # one quotient point, or an (n, k') array of them
         import numpy as np
 
-        _check_kernel_bound(module)  # keeps the int64 product below 2**63
+        _check_int64(module, new_factors)  # section entries times q
         return np.asarray(q, dtype=np.int64) @ np.array(section, dtype=np.int64).T % module.factors
 
     new_gens = []

@@ -239,6 +239,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "mu", "997", "--max-closure", "10")
         assert code == 3
 
+    def test_closure_cap_bounds_each_orbit(self, capsys):
+        # the a.r. path caps orbits, not the group: the orbit of 1 has 996 points
+        code, out, _ = run(capsys, "mu", "997", "--max-closure", "996", "--json")
+        assert code == 0 and json.loads(out)["ar_points"] == [[0]]
+        code, _, err = run(capsys, "mu", "997", "--max-closure", "995")
+        assert code == 3 and "orbit exceeds cap 995" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["frobnicate"])

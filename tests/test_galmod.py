@@ -369,15 +369,19 @@ class TestEnumeration:
         assert ARTReport("x", 3, ((1,), (0,)), ((0,), (1,)), 0.0).verdict == "pass"
         assert ARTReport("x", 3, ((0,),), None, 0.0).verdict == "not-checked"
 
-    def test_block_kernel_matches_naive_oracle(self):
+    def test_block_kernel_matches_naive_oracle(self, monkeypatch):
         mods = [cyclotomic_module(n) for n in (8, 12, 30, 101)]
         mods.append(direct_sum(constant_module(10), cyclotomic_module(10)))
         mods.append(quotient_by(direct_sum(constant_module(6), cyclotomic_module(6)), [(3, 3)]))
         mods.append(GaloisModule((3, 3), [[[0, 2], [1, 0]], [[1, 1], [0, 1]]]))
-        for m in mods:
-            bad = _not_ar_mask(m, _point_grid(m))
-            for idx, p in enumerate(m.points()):
-                assert (not bad[idx]) == is_almost_rational_naive(m, p), (m.name, p)
+        mods.append(_gl2_3())  # non-abelian, two generators taking turns
+        mods.append(GaloisModule((4, 4), [[[1, 1], [0, 1]], [[3, 0], [0, 3]]]))
+        for block in (galmod.ORBIT_BLOCK, 4):  # 4 rows: blocks halve to single points
+            monkeypatch.setattr(galmod, "ORBIT_BLOCK", block)
+            for m in mods:
+                bad = _not_ar_mask(m, _point_grid(m))
+                for idx, p in enumerate(m.points()):
+                    assert (not bad[idx]) == is_almost_rational_naive(m, p), (m.name, p, block)
 
     def test_kernel_refuses_int64_overflow(self):
         # (n - 1) * p exceeds 2**63 here, so int64 codes would wrap silently
@@ -390,46 +394,104 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError, match="overflow"):
             is_almost_rational(huge, (2 ** 63 + 1,))
 
-    def test_bulk_path_across_chunks(self):
-        # 4620 points x 960 automorphisms exceeds the 4e6-code chunk budget,
-        # so the block kernel runs over two chunks split at `boundary`
+    def test_kernel_is_exact_past_two_to_the_31_points(self):
+        # (d - 1)^2 < 2**63: every product fits, though |M| > 2**31
+        d = 3 * 10 ** 9
+        m = GaloisModule((d,), [[[d - 1]]])
+        pts = [(1,), (10 ** 9,), (d // 4,), (d // 2,), (d - 1,)]
+        fast = [is_almost_rational(m, p) for p in pts]
+        assert "closure" not in vars(m)
+        assert fast == [is_almost_rational_naive(m, p) for p in pts]
+        assert fast == [True, True, False, True, True]  # d/4: 4p = 0, 2p != 0
+
+    def test_block_keys_never_wrap(self):
+        # |M| = 4e18: keys r*|M| + code fit in int64 only for blocks of two points
+        d = 2 * 10 ** 9
+        m = GaloisModule((d, d), [[[d - 1, 0], [0, d - 1]]])
+        pts = [(0, 0), (1, 2), (d // 4, 0), (d // 2, d // 4), (3, d - 1), (d // 4, d // 4)]
+        bad = _not_ar_mask(m, numpy.array(pts, dtype=numpy.int64))
+        assert [not b for b in bad] == [is_almost_rational_naive(m, p) for p in pts]
+        assert bad.tolist() == [False, False, True, True, False, True]
+
+    def test_bulk_path_across_chunks(self, monkeypatch):
+        # blocks of several points halve until their orbits fit in ORBIT_BLOCK
+        # rows; with 20,000 rows, the 4620 points of mu_4620 (orbits of up to
+        # 960 points) run over many blocks
+        monkeypatch.setattr(galmod, "ORBIT_BLOCK", 20_000)
+        widths, vstack = [], numpy.vstack
+
+        def spy(arrays, *args, **kwargs):
+            widths.append(len(arrays[0]))
+            return vstack(arrays, *args, **kwargs)
+
         m = cyclotomic_module(4620)
-        assert len(m.closure) == 960
-        boundary = 4_000_000 // len(m.closure)
-        assert 0 < boundary < m.point_count
+        monkeypatch.setattr(numpy, "vstack", spy)
         bad = _not_ar_mask(m, _point_grid(m))
+        monkeypatch.undo()
+        assert widths[0] == m.point_count and len(widths) > 10
         points = list(m.points())
         ar = [p for idx, p in enumerate(points) if not bad[idx]]
         assert ar == [p for p in points if m.order_of(p) in (1, 2, 3, 6)]
-        for idx in range(boundary - 16, boundary + 16):
-            assert (not bad[idx]) == is_almost_rational(m, points[idx]), points[idx]
+        assert "closure" not in vars(m)
 
     def test_chunk_bounds_haystack_when_closure_is_large(self, monkeypatch):
-        # 13,200 automorphisms: one chunk of all 363 points would sort 4,791,600
-        # codes, past the 4e6 budget, so the kernel must split the points
+        # 13,200 automorphisms and orbits of up to 120 points: every sorted key
+        # array of a block stays within ORBIT_BLOCK = 1000 rows
         gl = GaloisModule((11, 11), [[[2, 0], [0, 1]], [[10, 1], [10, 0]]])
         m = direct_sum(gl, constant_module(3))
-        s = len(m.closure)
-        assert s == 13_200 and m.point_count * s > 4_000_000
-        haystacks = []
-        searchsorted = numpy.searchsorted
+        monkeypatch.setattr(galmod, "ORBIT_BLOCK", 1000)
+        haystacks, sort = [], numpy.sort
 
-        def spy(a, v, *args, **kwargs):
+        def spy(a, *args, **kwargs):
             haystacks.append(len(a))
-            return searchsorted(a, v, *args, **kwargs)
+            return sort(a, *args, **kwargs)
 
-        monkeypatch.setattr(numpy, "searchsorted", spy)
+        monkeypatch.setattr(numpy, "sort", spy)
         bad = _not_ar_mask(m, _point_grid(m))
-        assert len(haystacks) > 1
-        assert max(haystacks) <= max(4_000_000, s)
+        monkeypatch.undo()
+        assert "closure" not in vars(m)
+        assert len(haystacks) > 1 and max(haystacks) <= 1000
+        assert len(m.closure) == 13_200
         points = list(m.points())
-        for idx in random.Random(5).sample(range(len(points)), 12):
-            assert (not bad[idx]) == is_almost_rational(m, points[idx]), points[idx]
+        assert tuple(p for idx, p in enumerate(points) if not bad[idx]) == _full_grid_ar(m)
+
+    def test_orbit_cap_counts_orbit_points(self):
+        # mu_101: the orbit of 1 has exactly 100 points
+        for cap in (100, 10 ** 6):
+            m = cyclotomic_module(101, max_closure=cap)
+            assert almost_rational_set(m).ar_points == ((0,),)
+            assert not is_almost_rational(m, (1,))
+        m = cyclotomic_module(101, max_closure=99)
+        for call in (lambda: almost_rational_set(m), lambda: is_almost_rational(m, (1,))):
+            with pytest.raises(ResourceCapError, match="^mu_101: orbit exceeds cap 99$"):
+                call()
+        # GL_2(Z/3) has 48 elements but orbits of at most 8 points on (Z/3)^2
+        full = almost_rational_set(_gl2_3()).ar_points
+        assert almost_rational_set(_gl2_3(max_closure=8)).ar_points == full
+        with pytest.raises(ResourceCapError, match="^gl2_3: orbit exceeds cap 7$"):
+            almost_rational_set(_gl2_3(max_closure=7))
 
 
 def _full_grid_ar(m):
-    pts = _point_grid(m)
-    return tuple(map(tuple, pts[~_not_ar_mask(m, pts)].tolist()))
+    """Reference a.r. set: every grid point against D_p from every closure
+    element, sharing no code with the orbit kernel.  Per chunk of about 2**20
+    pairs, the code i*|M| + code(d) stands for d in D_{p_i}; p_i is not a.r.
+    when one of its own nonzero -d is among the sorted codes."""
+    pts = numpy.array(list(m.points()), dtype=numpy.int64).reshape(-1, m.rank)
+    mats = numpy.array(m.closure, dtype=numpy.int64)
+    d = numpy.array(m.factors, dtype=numpy.int64)
+    bad = []
+    step = max(1, 2 ** 20 // len(mats))
+    for start in range(0, len(pts), step):
+        p = pts[start:start + step]
+        diff = (numpy.einsum("sij,nj->nsi", mats, p) - p[:, None, :]) % d
+        offset = numpy.arange(len(p))[:, None] * m.point_count
+        codes = numpy.ravel_multi_index(tuple(numpy.moveaxis(diff, -1, 0)), m.factors)
+        negs = numpy.ravel_multi_index(tuple(numpy.moveaxis(-diff % d, -1, 0)), m.factors)
+        hay = numpy.sort(codes + offset, axis=None)
+        pos = numpy.minimum(numpy.searchsorted(hay, negs + offset), hay.size - 1)
+        bad += ((hay[pos] == negs + offset) & (negs != 0)).any(axis=1).tolist()
+    return tuple(p for p, b in zip(m.points(), bad) if not b)
 
 
 def _grid_index(m, pts):
@@ -465,7 +527,7 @@ class TestOrbitRepresentatives:
         for m in module_corpus:
             q = _rational_quotient(m).module
             pts = _point_grid(q)
-            lab = _orbit_labels(q, pts, len(m.closure))
+            lab = _orbit_labels(q, pts)
             for g in q.generators:
                 img = _grid_index(q, pts @ numpy.array(g, dtype=numpy.int64).T)
                 assert (lab[img] == lab).all(), m.name
@@ -483,7 +545,7 @@ class TestOrbitRepresentatives:
                     least = min(index[x] for x in orbit)
                     for x in orbit:
                         expected[index[x]] = least
-            assert _orbit_labels(q, _point_grid(q), len(m.closure)).tolist() == expected, m.name
+            assert _orbit_labels(q, _point_grid(q)).tolist() == expected, m.name
 
     def test_lift_is_a_section_of_the_projection(self, module_corpus):
         for m in module_corpus:
@@ -518,7 +580,20 @@ class TestOrbitRepresentatives:
         monkeypatch.setattr(galmod, "_not_ar_mask", spy)
         rep = almost_rational_set(module)
         assert blocks == [reps]
+        assert "closure" not in vars(module)  # the reference below builds it
         assert rep.ar_points == _full_grid_ar(module)
+
+    def test_ar_paths_never_build_the_closure(self, module_corpus):
+        def fresh(m):  # the corpus has built its closures already
+            return GaloisModule(m.factors, m.generators, name=m.name, max_closure=m.max_closure)
+
+        modules = [fresh(m) for m in module_corpus]
+        modules += [eisenstein_model(N).module for N in (23, 37, 191, 2003, 10007, 100003)]
+        modules += [homothety_module(m, e, 1) for m in (97, 250, 289) for e in (1, 2, 3)]
+        for m in modules:
+            ar = almost_rational_set(m).ar_points
+            assert is_almost_rational(m, ar[-1]), m.name
+            assert "closure" not in vars(m), m.name
 
     def test_rational_expansion_holds_one_python_copy(self):
         # no Galois generators, so every point is rational: M/F is one point

@@ -132,7 +132,8 @@ class TestEisensteinModel:
 class TestTheorem3:
     @pytest.mark.parametrize("N,count", [(23, 11), (37, 9), (41, 10), (73, 18),
                                          (1997, 499), (2003, 1001), (10007, 5003),
-                                         (100003, 16667)])
+                                         (100003, 16667), (92699, 46349),
+                                         (1000003, 166667)])
     def test_spot_values(self, N, count):
         rep = theorem3_check(N)
         assert rep.verdict == "pass"
@@ -154,6 +155,15 @@ class TestTheorem3:
                             lambda self, p: calls.append(p) or check(self, p))
         assert theorem3_check(N).verdict == "pass"
         assert len(calls) <= 10
+
+    def test_never_reads_the_closure(self, monkeypatch):
+        def refuse(module):
+            raise AssertionError(f"{module.name}: closure read")
+
+        monkeypatch.setattr(GaloisModule, "closure", property(refuse))
+        for N in (23, 37, 191, 2003, 92699):
+            assert theorem3_check(N).verdict == "pass", N
+        assert all(r.verdict == "pass" for r in survey(23, 400))
 
     def test_passes_through_primes_to_150(self):
         for N in primes_in(23, 150):

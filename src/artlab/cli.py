@@ -229,8 +229,10 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     try:
-        if args.threads < 1:
-            raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
+        for flag, value in (("--threads", args.threads), ("--max-closure", args.max_closure),
+                            ("--max-points", args.max_points)):
+            if value < 1:
+                raise InvalidInputError(f"{flag} must be >= 1, got {value}")
         if cache_dir:
             output, exit_code = cache_roundtrip(
                 cache_dir, _cache_key(args), lambda: _output(args))

@@ -23,9 +23,11 @@ import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_POINTS, InvalidInputError, ResourceCapError
 from .modarith import unit_group_generators
@@ -302,7 +304,8 @@ def apply_automorphism(module: GaloisModule, a: Matrix, p: Point) -> Point:
 def is_almost_rational(module: GaloisModule, p: Point) -> bool:
     """Difference-set predicate: D = {sigma(p) - p} must meet -D only in 0."""
     p = module.check_point(p)
-    return not _not_ar_mask(module, [p])[0]
+    _check_int64(module, module.factors)  # before p's grid code is formed
+    return not _not_ar_mask(module, _radix(module.factors)[0][1:] @ np.transpose([p]))[0]
 
 
 def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
@@ -321,23 +324,23 @@ def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
     return True
 
 
-def _point_grid(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
-    """Every point as one row of an (n, k) int64 array, in module.points() order.
-
-    The point cap and the kernel bound are checked before anything is allocated.
-    """
-    import numpy as np
-
-    _check_cap(module, module.point_count, "points", max_points)
-    _check_int64(module, module.factors)
-    # broadcast views, so the stacked copy is the only (n, k) array allocated
-    grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in module.factors),
-                        indexing="ij", copy=False)
-    return np.stack(grids, axis=-1).reshape(module.point_count, module.rank)
+@lru_cache(maxsize=1024)
+def _radix(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (weights, mods) for |M| < 2**63: |M| then the place values (p's grid
+    code, its index in module.points() order, is weights[1:] @ p) and the factors as a column."""
+    weights = np.array([math.prod(factors[i:]) for i in range(len(factors) + 1)], np.int64)
+    mods = np.array(factors, np.int64)[:, None]
+    weights.flags.writeable = mods.flags.writeable = False
+    return weights, mods
 
 
-def _orbit_labels(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
-    """For every grid row, the least grid index in its orbit under the generators.
+def _coords(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
+    """The (k, n) int64 coordinates of the points with the given grid codes."""
+    return np.array(np.unravel_index(codes, module.factors), dtype=np.int64)
+
+
+def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+    """For every grid code, the least grid code in its orbit under the generators.
 
     A generator g pulls labels through g, g^2, g^4, ... (lab = min(lab,
     lab[image]), each image the square of the last as a grid permutation), so
@@ -347,20 +350,20 @@ def _orbit_labels(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     g-cycle of x.  Passes of pulls and pointer jumping (lab = lab[lab]) run
     until a pass moves no label, so the labels are constant on every orbit.
     """
-    import numpy as np
-
-    mods = np.array(module.factors, dtype=np.int64)[:, None]
-    weights = np.array([math.prod(module.factors[i + 1:]) for i in range(module.rank)])
+    _check_cap(module, module.point_count, "points", max_points)
+    _check_int64(module, module.factors)
+    lab = np.arange(module.point_count)
+    pts = _coords(module, lab)
+    weights, mods = _radix(module.factors)
 
     def pull(g):  # whether a label moved
-        image = weights @ (np.array(g, dtype=np.int64) @ pts.T % mods)
+        image = weights[1:] @ (np.array(g, dtype=np.int64) @ pts % mods)
         moved = False
         while ((pulled := lab[image]) < lab).any():
             np.minimum(lab, pulled, out=lab)
             image, moved = image[image], True
         return moved
 
-    lab = np.arange(len(pts))
     while any([pull(g) for g in module.generators]):  # every pull, then jumps
         while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
@@ -379,8 +382,8 @@ def _check_int64(module: GaloisModule, cols: Sequence[int]) -> None:
         raise ResourceCapError(f"{module.name}: factors {module.factors} overflow int64 products")
 
 
-def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
-    """The difference-set test on an (n, k) block of points: True where not a.r.
+def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
+    """The difference-set test on the points with these grid codes: True where not a.r.
 
     D_p = {x - p : x in G p}, and x - p is in -D_p iff 2p - x is in G p, so p
     is not a.r. iff some x != p in its orbit has 2p - x in it: G is never
@@ -396,16 +399,13 @@ def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     ORBIT_BLOCK columns is halved: at most max(ORBIT_BLOCK, 2 * max_closure)
     orbit points, and one image of them, are held at once.
     """
-    import numpy as np
-
     _check_int64(module, module.factors)
     k, cap, gens = module.rank, module.max_closure, module.generators
-    mods = np.array(module.factors, dtype=np.int64)[:, None]
-    weights = np.array([math.prod(module.factors[i:]) for i in range(k + 1)], dtype=np.int64)
+    weights, mods = _radix(module.factors)
     one = np.eye(k + 1, dtype=int).tolist()
 
     def mark(lo, hi):  # marks bad[lo:hi]; False when the block must be halved
-        x = np.vstack((np.arange(hi - lo), pts[lo:hi].T))  # one column per point
+        x = np.vstack((np.arange(hi - lo), _coords(module, codes[lo:hi])))  # one column per point
         keys = weights @ x  # sorted, as r grows
         quiet = i = 0
         while quiet < len(gens):
@@ -434,10 +434,9 @@ def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
         bad[lo + r[keys.take(keys.searchsorted(zkeys), mode="clip") == zkeys]] = True
         return True
 
-    pts = np.asarray(pts, dtype=np.int64)
-    bad = np.zeros(len(pts), dtype=bool)
+    bad = np.zeros(len(codes), dtype=bool)
     width = max(1, min(ORBIT_BLOCK, (2 ** 63 - 1) // module.point_count))
-    todo = [(lo, min(lo + width, len(pts))) for lo in range(0, len(pts), width)]
+    todo = [(lo, min(lo + width, len(codes))) for lo in range(0, len(codes), width)]
     while todo:
         lo, hi = todo.pop()
         if not mark(lo, hi):
@@ -445,63 +444,62 @@ def _not_ar_mask(module: GaloisModule, pts: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _rows(module: GaloisModule, index: np.ndarray) -> Iterable[Point]:
-    """The points at the given grid indices, as tuples of ints.  They are built
+def _rows(module: GaloisModule, codes: np.ndarray) -> Iterable[Point]:
+    """The points with the given grid codes, as tuples of ints.  They are built
     a chunk at a time, so no Python list holds every coordinate at once."""
-    import numpy as np
-
-    for start in range(0, len(index), 1 << 12):
-        cols = np.unravel_index(index[start:start + (1 << 12)], module.factors)
-        yield from zip(*(c.tolist() for c in cols))
+    for start in range(0, len(codes), 1 << 12):
+        yield from zip(*_coords(module, codes[start:start + (1 << 12)]).tolist())
 
 
-def _fixed_generators(module: GaloisModule) -> list[Point]:
-    """Generators of the rational points F = {p : g p = p for every generator g}.
+def _fixed_generators(module: GaloisModule) -> tuple[list[Point], int]:
+    """Generators of the rational points F = {p : g p = p for every generator g}, and |F|.
 
     p is fixed exactly when (p, y) is in the integer kernel of A = [B | D] for
     some y, B the rows of every g - I stacked, D the diagonal of their moduli.
-    D has full rank R, so with U A^T V = S the kernel is spanned by the rows
-    R, R+1, ... of U; their first k entries, reduced mod d, generate F.
+    D has full rank R, so with U A^T V = S the kernel is spanned by the rows R,
+    R+1, ... of U; their first k entries, reduced mod d, generate F.  The map
+    p -> B p mod the d_r has kernel F and image of order prod(d_r) / prod(s_i),
+    s_i the invariant factors of A, so |F| = |M| * prod(s_i) / prod(d_r).
     """
     rows = [([x - (i == j) for j, x in enumerate(g[i])], d)
             for g in module.generators for i, d in enumerate(module.factors)]
     at = [[row[j] for row, _ in rows] for j in range(module.rank)]
     at += [[d * (c == r) for c in range(len(rows))] for r, (_, d) in enumerate(rows)]
-    u = smith_normal_form(at)[1]
+    s, u, _ = smith_normal_form(at)
+    n_fixed = (module.point_count * math.prod(s[i][i] for i in range(len(rows)))
+               // math.prod(d for _, d in rows))
     gens = {tuple(x % d for x, d in zip(row, module.factors)) for row in u[len(rows):]}
-    return sorted(gens - {module.zero()})
+    return sorted(gens - {module.zero()}), n_fixed
 
 
-def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point], cap: int,
-                overflow_message: str) -> np.ndarray:
-    """The sorted grid indices of start + ⟨gens⟩; start holds the sorted grid
-    indices of 0 and of points in other, distinct cosets of ⟨gens⟩.  Each h
+def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point],
+                cap: int) -> np.ndarray:
+    """The sorted grid codes of start + ⟨gens⟩; start holds the sorted grid
+    codes of 0 and of points in other, distinct cosets of ⟨gens⟩.  Each h
     adds X + s*h for 0 < s < t, X the set so far and t the least s >= 1 with
     s*h in X, so in ⟨gens before h⟩: every element is built once.
-    ResourceCapError(overflow_message) is raised before s = 0 .. order(h) - 1
+    ResourceCapError ("span exceeds cap") is raised before s = 0 .. order(h) - 1
     exists if order(h) > cap or order(h)^2 >= 2**63, and before a step of
     len(X) * t > cap codes.  Coordinate x mod d of s*h is g * (s * (x/g) mod
     d/g), g = gcd(x, d), and s * (x/g) < order(h)^2, where s * x wraps in
     int64 once d > 3e9.  With |M| <= 2**62, codes and col + multiple < 2d
     fit in int64."""
-    import numpy as np
-
     span = start
     for h in gens:
         order = module.order_of(h)
         if order > cap or order ** 2 >= 2 ** 63:
-            raise ResourceCapError(overflow_message)
+            raise ResourceCapError(f"{module.name}: span exceeds cap {cap} points")
         s = np.arange(order, dtype=np.int64)
         steps = [s * (x // g) % (d // g) * g
                  for x, d in zip(h, module.factors) for g in [math.gcd(x, d)]]
-        multiples = np.ravel_multi_index(tuple(steps), module.factors)
+        multiples = _radix(module.factors)[0][1:] @ np.array(steps)
         pos = np.minimum(np.searchsorted(span, multiples), len(span) - 1)
         inside = np.flatnonzero(span[pos] == multiples)  # s = 0 always
         t = int(inside[1]) if len(inside) > 1 else order
         if len(span) * t > cap:
-            raise ResourceCapError(overflow_message)
+            raise ResourceCapError(f"{module.name}: span exceeds cap {cap} points")
         codes = np.zeros((len(span), t), dtype=np.int64)
-        for col, step, d in zip(np.unravel_index(span, module.factors), steps, module.factors):
+        for col, step, d in zip(_coords(module, span), steps, module.factors):
             codes *= d
             codes += (col[:, None] + step[:t]) % d
         span = np.sort(codes, axis=None)
@@ -521,27 +519,21 @@ def almost_rational_set(module: GaloisModule,
       and tau(p + q) = tau(p) + q.
     So the orbit kernel runs on a lift of one point per orbit of the grid of
     M/F (`_orbit_labels`), and the a.r. set is {lift(q) + f : q a.r., f in F}.
-    max_points bounds |F|, |M/F| and the output, each checked before it is
-    allocated, and max_closure each orbit; no grid of M and no closure is built.
+    The steps pass grid codes.  max_points bounds |F|, |M/F| and the output,
+    each checked before it is allocated, and max_closure each orbit.
     """
-    import numpy as np
-
     t0 = time.perf_counter()
-    gens = _fixed_generators(module)
-    pres = quotient_presentation(module, gens, name=f"{module.name}/F")
-    n_fixed = module.point_count // pres.module.point_count
+    gens, n_fixed = _fixed_generators(module)
     _check_cap(module, n_fixed, "rational points", max_points)
-    qpts = _point_grid(pres.module, max_points)
-    lab = _orbit_labels(pres.module, qpts)
+    pres = quotient_presentation(module, gens, name=f"{module.name}/F")
+    lab = _orbit_labels(pres.module, max_points)
     reps = np.flatnonzero(lab == np.arange(len(lab)))
     bad = np.zeros(len(lab), dtype=bool)
-    bad[reps] = _not_ar_mask(module, pres.lift(qpts[reps]))
-    lifts = pres.lift(qpts[~bad[lab]])  # lift(0) = 0 is among them
-    del qpts, lab, bad
+    bad[reps] = _not_ar_mask(module, pres.lift(reps))
+    lifts = np.sort(pres.lift(np.flatnonzero(~bad[lab])))  # lift(0) = 0 is among them
+    del lab, bad
     _check_cap(module, len(lifts) * n_fixed, "almost-rational points", max_points)
-    start = np.sort(np.ravel_multi_index(tuple(lifts.T), module.factors))
-    ar = tuple(_rows(module, _span_codes(module, start, gens, max_points,
-                                         f"{module.name}: span exceeds cap {max_points} points")))
+    ar = tuple(_rows(module, _span_codes(module, lifts, gens, max_points)))
     return ARTReport(module.name, module.point_count, ar, None, (time.perf_counter() - t0) * 1e3)
 
 
@@ -622,21 +614,18 @@ def _as_matrix(m, k: int, label: str) -> Matrix:
 def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, ...]:
     """The subgroup the points generate, sorted: `_span_codes` from 0, capped at
     DEFAULT_MAX_POINTS points, on modules of at most SPAN_POINT_BOUND points."""
-    import numpy as np
-
     gens = [module.check_point(p) for p in gens]
     if module.point_count > SPAN_POINT_BOUND:
         raise ResourceCapError(
             f"{module.name}: {module.point_count} points overflow int64 span codes")
     cap = DEFAULT_MAX_POINTS  # read per call, so a patched cap applies
-    return tuple(_rows(module, _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap,
-                                           f"{module.name}: span exceeds cap {cap} points")))
+    return tuple(_rows(module, _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap)))
 
 
 @dataclass(frozen=True)
 class QuotientPresentation:
-    """A quotient module, the projection from parent coordinates, and a lift
-    back with project(lift(q)) == q."""
+    """A quotient module, the projection from parent coordinates, and a lift from
+    quotient grid codes to parent grid codes (1-D int64) with project(lift(q)) == q."""
 
     module: GaloisModule
     project: Callable[[Point], Point] = field(compare=False)
@@ -652,7 +641,7 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     span; otherwise the offending generator is named.  The new basis comes
     from the Smith normal form U [diag(d) | sub] V = D; the induced action is
     U A U^{-1} restricted to the nontrivial coordinates, and
-    lift(q) = U^{-1} (q padded with zeros) mod d.
+    lift(q) = U^{-1} (q padded with zeros) mod d, on grid codes.
     """
     sub_pts = [module.check_point(p) for p in sub]
     k = module.rank
@@ -686,18 +675,18 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
                     f"{list(map(list, g))} sends {h} to {img}, "
                     f"which is not in the subgroup")
 
-    def lift(q):  # one quotient point, or an (n, k') array of them
-        import numpy as np
-
-        _check_int64(module, new_factors)  # section entries times q
-        return np.asarray(q, dtype=np.int64) @ np.array(section, dtype=np.int64).T % module.factors
-
     new_gens = []
     for g in module.generators:
         conj = mat_mul(mat_mul(u, g), uinv)
         new_gens.append([[conj[i][j] for j in keep] for i in keep])
     qname = name or f"{module.name}/sub{module.point_count // math.prod(new_factors)}"
     qmod = GaloisModule._of_automorphisms(new_factors, new_gens, qname, module.max_closure)
+
+    def lift(codes):  # quotient grid codes to module grid codes
+        _check_int64(module, new_factors)  # section entries times quotient coordinates
+        weights, mods = _radix(module.factors)
+        return weights[1:] @ (np.array(section, dtype=np.int64) @ _coords(qmod, codes) % mods)
+
     return QuotientPresentation(qmod, project, lift)
 
 
@@ -755,8 +744,7 @@ def halving_exclusion(module: GaloisModule, p: Point,
 
 def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
     """Points fixed by the entire closure (the rational points of the model),
-    spanned from `_fixed_generators` once |M| / |M/F| is within DEFAULT_MAX_POINTS."""
-    gens = _fixed_generators(module)
-    _check_cap(module, module.point_count // quotient_by(module, gens).point_count,
-               "rational points", DEFAULT_MAX_POINTS)
+    spanned from `_fixed_generators` once |F| is within DEFAULT_MAX_POINTS."""
+    gens, n_fixed = _fixed_generators(module)
+    _check_cap(module, n_fixed, "rational points", DEFAULT_MAX_POINTS)
     return subgroup_span(module, gens)

@@ -14,21 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from .errors import InvalidInputError
-from .galmod import (
-    ARTReport,
-    GaloisModule,
-    Point,
-    almost_rational_set,
-    constant_module,
-    cyclotomic_module,
-    direct_sum,
-    quotient_presentation,
-    subgroup_span,
-    DEFAULT_MAX_CLOSURE,
-    DEFAULT_MAX_POINTS,
-)
+from typing import TYPE_CHECKING
+
+from .errors import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_POINTS, InvalidInputError
 from .modarith import is_prime, jacobi_symbol, primes_in
+
+if TYPE_CHECKING:  # galmod, and numpy with it, loads only when a model is built
+    from .galmod import ARTReport, GaloisModule, Point
 
 # Prime levels with hyperelliptic X0(N), per Ogg's classification.  37 is the
 # one member whose hyperelliptic involution differs from the Atkin-Lehner
@@ -155,6 +147,9 @@ def level_invariants(N: int) -> LevelInvariants:
 
 def eisenstein_model(N: int, max_closure: int = DEFAULT_MAX_CLOSURE) -> EisensteinModel:
     """Build the Eisenstein-torsion model for prime N >= 23."""
+    from .galmod import (constant_module, cyclotomic_module, direct_sum,
+                         quotient_presentation, subgroup_span)
+
     if not is_prime(N) or N < 23:
         raise InvalidInputError(f"eisenstein_model: need a prime N >= 23, got {N}")
     n = eisenstein_number(N)
@@ -182,6 +177,8 @@ def theorem3_check(N: int, max_closure: int = DEFAULT_MAX_CLOSURE,
     """Compare the computed almost-rational set of the level-N model with the
     subgroup generated by the cuspidal image and the 3-torsion of the mu image
     (the model's `subgroup_span` output, checked and sorted there)."""
+    from .galmod import almost_rational_set
+
     model = eisenstein_model(N, max_closure)
     return replace(almost_rational_set(model.module, max_points=max_points),
                    expected=model.expected_ar)
@@ -201,3 +198,11 @@ def survey(start: int, stop: int, threads: int = 1,
         raise InvalidInputError(f"survey: start must be a prime >= 23, got {start}")
     return [SurveyRecord(level_invariants(N), theorem3_check(N, max_closure, max_points).verdict)
             for N in primes_in(start, stop)]
+
+
+def __getattr__(name):
+    """modcurve.almost_rational_set, once a load-time import, is galmod's current one."""
+    if name != "almost_rational_set":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .galmod import almost_rational_set
+    return almost_rational_set

@@ -273,6 +273,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "mu", "11", "--threads", "0")
         assert code == 2 and "--threads" in err
 
+    def test_bad_point_cap(self, capsys):
+        code, out, err = run(capsys, "mu", "11", "--max-points", "-5")
+        assert code == 2 and out == "" and err == "artlab: --max-points must be >= 1, got -5\n"
+
+    def test_bad_closure_cap(self, capsys):
+        code, out, err = run(capsys, "mu", "11", "--max-closure", "0")
+        assert code == 2 and out == "" and err == "artlab: --max-closure must be >= 1, got 0\n"
+
     def test_scan_bound_exit(self, capsys, monkeypatch):
         def no_sieve(lo, hi):
             raise AssertionError("sieved past the scan bound")

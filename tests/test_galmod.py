@@ -34,7 +34,7 @@ from artlab import (
     validate_module,
 )
 from artlab import galmod
-from artlab.galmod import _fixed_generators, _not_ar_mask, _orbit_labels, _point_grid
+from artlab.galmod import _fixed_generators, _not_ar_mask, _orbit_labels
 from artlab.modarith import primes_in, unit_group_generators
 from artlab.modcurve import eisenstein_model, eisenstein_number
 from artlab.snf import mat_mul, smith_normal_form
@@ -379,7 +379,7 @@ class TestEnumeration:
         for block in (galmod.ORBIT_BLOCK, 4):  # 4 rows: blocks halve to single points
             monkeypatch.setattr(galmod, "ORBIT_BLOCK", block)
             for m in mods:
-                bad = _not_ar_mask(m, _point_grid(m))
+                bad = _not_ar_mask(m, numpy.arange(m.point_count))
                 for idx, p in enumerate(m.points()):
                     assert (not bad[idx]) == is_almost_rational_naive(m, p), (m.name, p, block)
 
@@ -409,11 +409,11 @@ class TestEnumeration:
         d = 2 * 10 ** 9
         m = GaloisModule((d, d), [[[d - 1, 0], [0, d - 1]]])
         pts = [(0, 0), (1, 2), (d // 4, 0), (d // 2, d // 4), (3, d - 1), (d // 4, d // 4)]
-        bad = _not_ar_mask(m, numpy.array(pts, dtype=numpy.int64))
+        bad = _not_ar_mask(m, numpy.array([x * d + y for x, y in pts], dtype=numpy.int64))
         assert [not b for b in bad] == [is_almost_rational_naive(m, p) for p in pts]
         assert bad.tolist() == [False, False, True, True, False, True]
 
-    def test_bulk_path_across_chunks(self, monkeypatch):
+    def test_blocks_halve_until_orbits_fit(self, monkeypatch):
         # blocks of several points halve until their orbits fit in ORBIT_BLOCK
         # rows; with 20,000 rows, the 4620 points of mu_4620 (orbits of up to
         # 960 points) run over many blocks
@@ -426,7 +426,7 @@ class TestEnumeration:
 
         m = cyclotomic_module(4620)
         monkeypatch.setattr(numpy, "vstack", spy)
-        bad = _not_ar_mask(m, _point_grid(m))
+        bad = _not_ar_mask(m, numpy.arange(m.point_count))
         monkeypatch.undo()
         assert widths[0] == m.point_count and len(widths) > 10
         points = list(m.points())
@@ -434,7 +434,7 @@ class TestEnumeration:
         assert ar == [p for p in points if m.order_of(p) in (1, 2, 3, 6)]
         assert "closure" not in vars(m)
 
-    def test_chunk_bounds_haystack_when_closure_is_large(self, monkeypatch):
+    def test_orbit_keys_stay_within_orbit_block(self, monkeypatch):
         # 13,200 automorphisms and orbits of up to 120 points: every sorted key
         # array of a block stays within ORBIT_BLOCK = 1000 rows
         gl = GaloisModule((11, 11), [[[2, 0], [0, 1]], [[10, 1], [10, 0]]])
@@ -447,7 +447,7 @@ class TestEnumeration:
             return sort(a, *args, **kwargs)
 
         monkeypatch.setattr(numpy, "sort", spy)
-        bad = _not_ar_mask(m, _point_grid(m))
+        bad = _not_ar_mask(m, numpy.arange(m.point_count))
         monkeypatch.undo()
         assert "closure" not in vars(m)
         assert len(haystacks) > 1 and max(haystacks) <= 1000
@@ -500,7 +500,7 @@ def _grid_index(m, pts):
 
 
 def _rational_quotient(m):
-    return quotient_presentation(m, _fixed_generators(m))
+    return quotient_presentation(m, _fixed_generators(m)[0])
 
 
 class TestOrbitRepresentatives:
@@ -526,8 +526,8 @@ class TestOrbitRepresentatives:
     def test_labels_constant_under_quotient_generators(self, module_corpus):
         for m in module_corpus:
             q = _rational_quotient(m).module
-            pts = _point_grid(q)
-            lab = _orbit_labels(q, pts)
+            pts = numpy.array(list(q.points()), dtype=numpy.int64)
+            lab = _orbit_labels(q)
             for g in q.generators:
                 img = _grid_index(q, pts @ numpy.array(g, dtype=numpy.int64).T)
                 assert (lab[img] == lab).all(), m.name
@@ -545,17 +545,17 @@ class TestOrbitRepresentatives:
                     least = min(index[x] for x in orbit)
                     for x in orbit:
                         expected[index[x]] = least
-            assert _orbit_labels(q, _point_grid(q)).tolist() == expected, m.name
+            assert _orbit_labels(q).tolist() == expected, m.name
 
     def test_lift_is_a_section_of_the_projection(self, module_corpus):
         for m in module_corpus:
             pres = _rational_quotient(m)
-            points = list(pres.module.points())
-            lifts = pres.lift(points)
-            assert lifts.shape == (len(points), m.rank), m.name
-            for q, p in zip(points, lifts.tolist()):
-                assert pres.project(tuple(p)) == q, (m.name, q)
-                assert tuple(pres.lift(q).tolist()) == tuple(p), (m.name, q)
+            points, parents = list(pres.module.points()), list(m.points())
+            lifts = pres.lift(numpy.arange(len(points)))  # grid codes in, grid codes out
+            assert lifts.shape == (len(points),) and lifts.dtype == numpy.int64, m.name
+            for code, (q, c) in enumerate(zip(points, lifts.tolist())):
+                assert pres.project(parents[c]) == q, (m.name, q)
+                assert pres.lift(numpy.array([code])).tolist() == [c], (m.name, q)
 
     def test_rational_quotient_has_order_of_module_over_fixed(self, module_corpus):
         for m in module_corpus:
@@ -1031,21 +1031,32 @@ class TestElementaryFacts:
             assert list(fixed_points(m)) == expected, m.name
 
     def test_fixed_points_point_cap(self, monkeypatch):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("allocated a point grid past the cap")
+        def no_grid(module, codes):  # nothing is decoded before the cap is checked
+            raise AssertionError("decoded points past the cap")
 
-        monkeypatch.setattr(numpy, "meshgrid", no_grid)
+        monkeypatch.setattr(galmod, "_coords", no_grid)
         with pytest.raises(ResourceCapError, match="exceeds the cap"):
             fixed_points(GaloisModule((2 ** 40,), []))
 
     def test_fixed_points_of_level_10007_build_no_grid(self, monkeypatch):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("built a point grid")
+        coords = galmod._coords
 
-        monkeypatch.setattr(numpy, "meshgrid", no_grid)
+        def no_grid(module, codes):  # the grid of M would decode all |M| codes
+            if len(codes) >= module.point_count:
+                raise AssertionError("built a point grid")
+            return coords(module, codes)
+
+        monkeypatch.setattr(galmod, "_coords", no_grid)
         fixed = fixed_points(eisenstein_model(10007).module)
         assert len(fixed) == 5003
         assert fixed[:2] == ((0, 0), (1, 0))
+
+    def test_fixed_count_matches_fixed_points(self, module_corpus):
+        # |F| = |M| * prod(s_i) / prod(d_r), read off the SNF that gives F's generators
+        modules = list(module_corpus) + [eisenstein_model(N).module for N in primes_in(23, 200)]
+        modules += [homothety_module(m, e, 2) for m in (12, 45, 97) for e in (1, 2, 3)]
+        for m in modules:
+            assert _fixed_generators(m)[1] == len(fixed_points(m)), m.name
 
     def test_fixed_points_are_ar(self, module_corpus):
         rng = random.Random(23)

@@ -54,7 +54,9 @@ class ARTReport:
     def verdict(self) -> str:  # "pass" | "fail" | "not-checked"
         if self.expected is None:
             return "not-checked"
-        return "pass" if set(self.ar_points) == set(self.expected) else "fail"
+        # equal tuples (the sorted ones the program builds) skip the set builds
+        same = self.ar_points == self.expected or set(self.ar_points) == set(self.expected)
+        return "pass" if same else "fail"
 
     def to_json(self) -> dict:
         """The JSON object; "ms" is pinned to 0 so output is deterministic."""
@@ -218,39 +220,24 @@ class GaloisModule:
 
     @cached_property
     def closure(self) -> tuple[Matrix, ...]:
-        """The group the generators generate under compose, sorted, by Dimino's
-        coset extension (G. Butler, Fundamental Algorithms for Permutation
-        Groups, LNCS 559, 1991, ch. 6): a generator g outside the group H listed
-        so far adds the right coset H*g, then H*(r*s) for each new
-        representative r and generator s up to g with r*s not yet listed.
-        Lemma: the cosets are then closed under right multiplication by each s
-        up to g (H*s = H for s before g, H*r*s = H*(r*s)), so they are the
-        group, each inverse being a positive power.  About one product per
-        element; ResourceCapError is raised before a coset past max_closure is
-        stored.  The naive oracle and the lemma audits read it; no a.r. path does.
+        """The group the generators generate under compose, sorted: a
+        breadth-first search from the identity that multiplies each listed
+        element by each generator.  In a finite group each inverse is a
+        positive power, so the products of generators are the whole group.
+        ResourceCapError is raised before element max_closure + 1 is stored.
+        The naive oracle and the lemma audits read it; no a.r. path does.
         """
-        elements, used = [self.identity()], []
+        elements = [self.identity()]
         seen = set(elements)
-
-        def add_coset(r):  # H*r is r followed by h*r for the h != 1 in H
-            if len(elements) + 1 + len(moved) > self.max_closure:
-                raise ResourceCapError(f"{self.name}: closure exceeds cap {self.max_closure}")
-            coset = [r] + [self.compose(h, r) for h in moved]
-            elements.extend(coset)
-            seen.update(coset)
-            reps.append(r)
-
-        for g in self.generators:
-            if g in seen:
-                continue
-            used.append(g)
-            moved, reps = elements[1:], []
-            add_coset(g)
-            for r in reps:  # reps grows while it is read
-                for s in used:
-                    rs = self.compose(r, s)
-                    if rs not in seen:
-                        add_coset(rs)
+        for a in elements:  # elements grows while it is read
+            for g in self.generators:
+                ag = self.compose(a, g)
+                if ag not in seen:
+                    if len(elements) >= self.max_closure:
+                        raise ResourceCapError(
+                            f"{self.name}: closure exceeds cap {self.max_closure}")
+                    seen.add(ag)
+                    elements.append(ag)
         return tuple(sorted(elements))
 
     def __repr__(self):

@@ -139,7 +139,7 @@ class TestValidation:
         assert len(GaloisModule((101,), [[[2]]], max_closure=100).closure) == 100
         with pytest.raises(ResourceCapError, match="^module: closure exceeds cap 99$"):
             GaloisModule((101,), [[[2]]], max_closure=99).closure
-        # the same on a non-abelian group, where the count grows a coset at a time
+        # the same on a non-abelian group with three generators
         assert len(_gl2_3(max_closure=48).closure) == 48
         m = _gl2_3(max_closure=47)
         with pytest.raises(ResourceCapError, match=f"^{m.name}: closure exceeds cap 47$"):
@@ -250,9 +250,9 @@ class TestClosure:
         assert len(m.closure) == 48
         assert m.closure == _bfs_closure(m)
 
-    def test_closure_needs_a_representative_outside_the_new_cyclic_group(self):
-        # GL_2(Z/2) from two involutions h, g: H*<g> = {1, h, g, hg} has 4 of
-        # the 6 elements, so some coset representative is not a power of g
+    def test_closure_of_gl2_2_from_two_involutions(self):
+        # GL_2(Z/2) from two involutions h, g: the products of at most one of
+        # each give 4 of the 6 elements; the search must go on to length 3
         h, g = ((0, 1), (1, 0)), ((1, 0), (1, 1))
         m = GaloisModule((2, 2), [h, g])
         one = m.identity()
@@ -368,6 +368,8 @@ class TestEnumeration:
         assert ARTReport("x", 3, ((0,),), ((0,), (1,)), 0.0).verdict == "fail"
         assert ARTReport("x", 3, ((1,), (0,)), ((0,), (1,)), 0.0).verdict == "pass"
         assert ARTReport("x", 3, ((0,),), None, 0.0).verdict == "not-checked"
+        # unequal tuples fall back to set semantics: duplicates do not matter
+        assert ARTReport("x", 3, ((0,), (0,)), ((0,),), 0.0).verdict == "pass"
 
     def test_block_kernel_matches_naive_oracle(self, monkeypatch):
         mods = [cyclotomic_module(n) for n in (8, 12, 30, 101)]

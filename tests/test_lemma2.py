@@ -1,5 +1,7 @@
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from artlab import (
     prime_power_witness,
     weil_threshold_prime,
 )
-from artlab.modarith import primes_in
+from artlab.modarith import factorize, primes_in
 
 
 def brute_force_pair(m, e):
@@ -202,6 +204,63 @@ class TestFailureScanLemmas:
             for p in primes_in(3, 400):
                 if (2 * e) % p:
                     assert lemma2._prime_has_pair(p, e) == (exists_pair(p, e) is not None), (p, e)
+
+    def test_prime_test_matches_fermat_counts(self):
+        # Independent of the search: of the N solutions of u^e + v^e = 2 mod p,
+        # g^2 have u^e = v^e = 1 and, when 2 is an e-th power, g each have
+        # u = 0 or v = 0 (g = gcd(e, p - 1)); every other one gives a pair.
+        for e in range(1, 13):
+            for p in primes_in(3, 1999):
+                if (2 * e) % p:
+                    g = math.gcd(e, p - 1)
+                    trivial = g * g + 2 * g * (pow(2, (p - 1) // g, p) == 1)
+                    has_pair = count_fermat_points(e, p) > trivial
+                    assert lemma2._prime_has_pair(p, e) == has_pair, (p, e)
+
+
+def _failing_prime_powers(e):
+    """{prime: failing powers of it} from a scan to B(e), where every failure is."""
+    failing = {}
+    for m in failure_scan(e, lemma2._weil_bound(e)).failures:
+        factors = factorize(m).factors
+        if len(factors) == 1:
+            failing.setdefault(factors[0][0], []).append(m)
+    return failing
+
+
+def _c_of(failing):
+    """C(e): the product of the largest failing power of each prime."""
+    return math.prod(max(powers) for powers in failing.values())
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+class TestReadmeConstantTable:
+    def test_rows_for_e_up_to_6(self):
+        rows = re.findall(r"^  \| (\d+) \| ([\d,]+) \| [^|]*?\| ([\d, ]+) \| ([\d,]+) \|$",
+                          _readme(), re.MULTILINE)
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5, 6]
+        for e, bound, powers, constant in rows:
+            e = int(e)
+            failing = _failing_prime_powers(e)
+            assert int(bound.replace(",", "")) == lemma2._weil_bound(e), e
+            listed = {int(q) for q in powers.split(", ")}
+            assert listed == {q for qs in failing.values() for q in qs}, e
+            assert int(constant.replace(",", "")) == _c_of(failing), e
+
+    def test_e12_sentence(self):
+        sentence = re.search(r"For e = 12 the scan searches the ([\d,]+) primes up to ([\d,]+)"
+                             r" and the\s+powers [^;]*; (\d+) of these prime powers fail, and"
+                             r" C\(12\) has (\d+)\s+digits", _readme())
+        assert sentence, "README: the e = 12 sentence is missing"
+        primes, bound, count, digits = (int(x.replace(",", "")) for x in sentence.groups())
+        assert bound == lemma2._weil_bound(12)
+        assert primes == len(primes_in(2, bound))
+        failing = _failing_prime_powers(12)
+        assert count == sum(map(len, failing.values()))
+        assert digits == len(str(_c_of(failing)))
 
 
 class TestScanSearchesFinitelyMany:

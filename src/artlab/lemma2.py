@@ -13,6 +13,7 @@ coprime products.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -215,13 +216,16 @@ def _weil_bound(e: int) -> int:
 def _prime_has_pair(p: int, e: int) -> bool:
     """Whether a pair exists mod the prime p, found without roots or the subgroup.
 
-    F_p^* is cyclic, so y is an e-th power iff y^((p-1)/gcd(e, p-1)) = 1.  The
-    loop runs x = u^e over u = 2, 3, ... and stops at the first x whose partner
-    2 - x is a nontrivial e-th power unit; it is exhaustive when none is.
+    F_p^* is cyclic, so its e-th powers are its g-th powers, g = gcd(e, p-1),
+    and y is one iff y^((p-1)/g) = 1.  The loop runs x = u^g over u = 2, 3, ...,
+    only up to (p-1)/2 when g is even since (-u)^g = u^g, and stops at the
+    first x whose partner 2 - x is a nontrivial g-th power unit; it is
+    exhaustive when none is.
     """
-    k = (p - 1) // math.gcd(e, p - 1)
-    for u in range(2, p):
-        y = (2 - pow(u, e, p)) % p
+    g = math.gcd(e, p - 1)
+    k = (p - 1) // g
+    for u in range(2, (p + 1) // 2 if g % 2 == 0 else p):
+        y = (2 - pow(u, g, p)) % p
         if y > 1 and pow(y, k, p) == 1:  # y != 0, and y != 1 iff x != 1
             return True
     return False
@@ -251,21 +255,25 @@ def failure_scan(e: int, max_m: int, threads: int = 1) -> Lemma2Report:
     (c) for p dividing 2e and v = v_p(e), p^k has a pair once k >= v + 2 (p
         odd) or k >= v + 3 (p = 2): x = 1 + p^(v+1) (x = 1 + 2^(v+2) for
         p = 2) and y = 2 - x lie in (1 + pZ_p)^e = 1 + p^(v+1)Z_p (for p = 2,
-        (1 + 4Z_2)^e = 1 + 2^(v+2)Z_2) and are nontrivial mod p^k.
-    So the scan sieves only to min(max_m, B(e)), tests each prime not dividing
-    2e with the root-free `_prime_has_pair`, and sends only the powers of the
-    primes dividing 2e below the bound in (c) to the exhaustive `exists_pair`;
-    every other prime power passes.  `threads` is accepted for compatibility
-    and ignored.
+        (1 + 4Z_2)^e = 1 + 2^(v+2)Z_2) and are nontrivial mod p^k;
+    (b') a prime p > B(g), g = gcd(e, p-1), has a pair: F_p^* is cyclic, so
+        its e-th powers are its g-th powers, and (b) at exponent g applies
+        (g divides e, so p does not divide 2g).
+    So the scan sieves only to min(max_m, B(e)), searches only the primes p
+    not dividing 2e with p <= B(gcd(e, p-1)), with the root-free
+    `_prime_has_pair`, and sends only the powers of the primes dividing 2e
+    below the bound in (c) to the exhaustive `exists_pair`; every other prime
+    power passes.  `threads` is accepted for compatibility and ignored.
     """
     if e < 1 or max_m < 1:
         raise InvalidInputError(f"failure_scan: bad parameters {(e, max_m)}")
     check_residue_bound(max_m, "failure_scan: max")  # the scan sieves up to max_m at most
-    failures = [1]
+    failures = [1]  # kept sorted
     # every p dividing 2e is at most max(2, e) < B(e), so the sieve meets it
     for p in primes_in(2, min(max_m, _weil_bound(e))):
         if (2 * e) % p:
-            failing = [] if _prime_has_pair(p, e) else [p]  # (a): its powers pass
+            passes = p > _weil_bound(math.gcd(e, p - 1)) or _prime_has_pair(p, e)  # (b')
+            failing = [] if passes else [p]  # (a): its powers pass
         else:
             v = 0
             while e % p ** (v + 1) == 0:
@@ -278,8 +286,10 @@ def failure_scan(e: int, max_m: int, threads: int = 1) -> Lemma2Report:
                 q *= p
         if failing:
             # every m so far is a product of primes below p, so coprime to q
-            failures += [m * q for m in failures for q in failing if m * q <= max_m]
-    return Lemma2Report(e, max_m, tuple(sorted(failures)))
+            failures += [m * q for q in failing
+                         for m in failures[:bisect_right(failures, max_m // q)]]
+            failures.sort()
+    return Lemma2Report(e, max_m, tuple(failures))
 
 
 def prime_power_witness(p: int, n: int, e: int) -> PrimePowerWitness:

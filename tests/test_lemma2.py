@@ -172,6 +172,15 @@ class TestFailureScanLemmas:
         for p in primes_in(bound + 1, 3000):
             assert exists_pair(p, e) is not None, (p, e)
 
+    @pytest.mark.parametrize("e", [4, 6, 8, 12, 24])
+    def test_b_prime_primes_past_the_bound_of_the_gcd_have_a_pair(self, e):
+        # (b'): mod p the e-th powers are the gcd(e, p - 1)-th powers
+        covered = [p for p in primes_in(3, 2999)
+                   if (2 * e) % p and p > lemma2._weil_bound(math.gcd(e, p - 1))]
+        assert covered, e
+        for p in covered:
+            assert exists_pair(p, e) is not None, (p, e)
+
     def test_b_weil_bound_values(self):
         assert [lemma2._weil_bound(e) for e in range(1, 7)] == [11, 11, 36, 100, 225, 529]
         # the bound is exact in the inequality it rests on
@@ -251,13 +260,17 @@ class TestReadmeConstantTable:
             assert int(constant.replace(",", "")) == _c_of(failing), e
 
     def test_e12_sentence(self):
-        sentence = re.search(r"For e = 12 the scan searches the ([\d,]+) primes up to ([\d,]+)"
-                             r" and the\s+powers [^;]*; (\d+) of these prime powers fail, and"
-                             r" C\(12\) has (\d+)\s+digits", _readme())
+        sentence = re.search(r"For e = 12 the scan sieves the ([\d,]+) primes up to ([\d,]+)"
+                             r" and\s+searches only the (\d+) with `p ≤ B\(gcd\(12, p − 1\)\)`,"
+                             r"\s+plus the powers [^;]*; (\d+) of these prime powers fail, and"
+                             r"\s+C\(12\) has (\d+)\s+digits", _readme())
         assert sentence, "README: the e = 12 sentence is missing"
-        primes, bound, count, digits = (int(x.replace(",", "")) for x in sentence.groups())
+        primes, bound, searched, count, digits = (int(x.replace(",", ""))
+                                                  for x in sentence.groups())
         assert bound == lemma2._weil_bound(12)
         assert primes == len(primes_in(2, bound))
+        assert searched == sum(1 for p in primes_in(2, bound)
+                               if 24 % p and p <= lemma2._weil_bound(math.gcd(12, p - 1)))
         failing = _failing_prime_powers(12)
         assert count == sum(map(len, failing.values()))
         assert digits == len(str(_c_of(failing)))
@@ -277,6 +290,24 @@ class TestScanSearchesFinitelyMany:
         allowed = {p ** k for p in (2, 3, 5, 7, 11) if (2 * e) % p == 0
                    for k in range(1, _hensel_threshold(p, e))}
         assert 4 in searched and set(searched) <= allowed, searched
+
+    @pytest.mark.parametrize("e", [6, 12, 24])
+    def test_prime_searches_stay_below_the_bound_of_the_gcd(self, e, monkeypatch):
+        searched = []
+        search = lemma2._prime_has_pair
+        monkeypatch.setattr(lemma2, "_prime_has_pair",
+                            lambda p, e: searched.append(p) or search(p, e))
+        failure_scan(e, 10 ** 7)
+        assert searched
+        for p in searched:
+            assert (2 * e) % p and p <= lemma2._weil_bound(math.gcd(e, p - 1)), (p, e)
+
+    def test_work_does_not_grow_with_e(self):
+        e = 10 ** 12 + 39
+        t0 = time.perf_counter()
+        failures = failure_scan(e, 100).failures
+        assert time.perf_counter() - t0 < 1.0
+        assert failures == tuple(m for m in range(1, 101) if exists_pair(m, e) is None)
 
 
 class TestPrimePowerWitness:

@@ -23,7 +23,7 @@ import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -292,7 +292,7 @@ def is_almost_rational(module: GaloisModule, p: Point) -> bool:
     """Difference-set predicate: D = {sigma(p) - p} must meet -D only in 0."""
     p = module.check_point(p)
     _check_int64(module, module.factors)  # before p's grid code is formed
-    return not _not_ar_mask(module, _radix(module.factors)[0][1:] @ np.transpose([p]))[0]
+    return not _not_ar_mask(module, _image(module, module.identity(), np.transpose([p])))[0]
 
 
 def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
@@ -311,19 +311,15 @@ def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
     return True
 
 
-@lru_cache(maxsize=1024)
-def _radix(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int64 (weights, mods) for |M| < 2**63: |M| then the place values (p's grid
-    code, its index in module.points() order, is weights[1:] @ p) and the factors as a column."""
-    weights = np.array([math.prod(factors[i:]) for i in range(len(factors) + 1)], np.int64)
-    mods = np.array(factors, np.int64)[:, None]
-    weights.flags.writeable = mods.flags.writeable = False
-    return weights, mods
-
-
 def _coords(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
     """The (k, n) int64 coordinates of the points with the given grid codes."""
     return np.array(np.unravel_index(codes, module.factors), dtype=np.int64)
+
+
+def _image(module: GaloisModule, mat, pts: np.ndarray) -> np.ndarray:
+    """The grid codes of mat @ pts mod d, for j rows of int64 coordinates pts and a
+    k x j integer matrix mat; `_check_int64` keeps the products exact."""
+    return np.ravel_multi_index(np.asarray(mat, dtype=np.int64) @ pts, module.factors, mode="wrap")
 
 
 def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
@@ -341,10 +337,9 @@ def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) ->
     _check_int64(module, module.factors)
     lab = np.arange(module.point_count)
     pts = _coords(module, lab)
-    weights, mods = _radix(module.factors)
 
     def pull(g):  # whether a label moved
-        image = weights[1:] @ (np.array(g, dtype=np.int64) @ pts % mods)
+        image = _image(module, g, pts)
         moved = False
         while ((pulled := lab[image]) < lab).any():
             np.minimum(lab, pulled, out=lab)
@@ -377,52 +372,46 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
     listed.  Orbits grow by doubling, X <- X u g^(2^j) X for j = 0, 1, ...,
     until g^(2^j) X lies in X or g^(2^j) = 1.  Lemma: the stop is exact, since
     if X = u_{i<2^j} g^i X0, then g X lies in X u g^(2^j) X0.  The generators
-    take turns until each finds X closed since the last growth.  Column (r,
-    x), key r*|M| + code(x), is x in the orbit of the block's r-th point,
-    found by searchsorted in the sorted keys.  `_check_int64` keeps |M| and
-    each sum_j A_ij x_j below 2**63, and a block has at most (2**63 - 1) // |M|
+    take turns until each finds X closed since the last growth.  A block's
+    state is one sorted array of keys r*|M| + code(x), x in the orbit of the
+    block's r-th point: the grid codes of (r, x) in (block) x M.  The 2p - x
+    test runs once, on the final keys.  `_check_int64` keeps |M| and each
+    sum_j A_ij x_j below 2**63, and a block has at most (2**63 - 1) // |M|
     points, so no key wraps.  An orbit past max_closure points raises
-    ResourceCapError, and a block of several points whose orbits pass
-    ORBIT_BLOCK columns is halved: at most max(ORBIT_BLOCK, 2 * max_closure)
-    orbit points, and one image of them, are held at once.
+    ResourceCapError, and a block of several points is halved before a step
+    would sort more than ORBIT_BLOCK keys: each sorted array holds at most
+    max(ORBIT_BLOCK, 2 * max_closure) keys.
     """
     _check_int64(module, module.factors)
-    k, cap, gens = module.rank, module.max_closure, module.generators
-    weights, mods = _radix(module.factors)
-    one = np.eye(k + 1, dtype=int).tolist()
+    size, cap, gens = module.point_count, module.max_closure, module.generators
+    one, mods = list(map(list, module.identity())), np.array(module.factors, np.int64)[:, None]
 
     def mark(lo, hi):  # marks bad[lo:hi]; False when the block must be halved
-        x = np.vstack((np.arange(hi - lo), _coords(module, codes[lo:hi])))  # one column per point
-        keys = weights @ x  # sorted, as r grows
+        keys = np.arange(hi - lo) * size + codes[lo:hi]
         quiet = i = 0
         while quiet < len(gens):
-            g, quiet, i = gens[i], quiet + 1, (i + 1) % len(gens)
-            t = np.array([(1,) + (0,) * k] + [(0,) + row for row in g], dtype=np.int64)
-            while t.tolist() != one:  # t is g^(2^j), bordered
-                y = t @ x
-                y[1:] %= mods
-                ykeys = weights @ y
-                new = keys.take(keys.searchsorted(ykeys), mode="clip") != ykeys
-                y = np.compress(new, y, axis=1)
-                if not y.shape[1]:
-                    break
-                if x.shape[1] + y.shape[1] > ORBIT_BLOCK and hi - lo > 1:
+            t, quiet, i = np.array(gens[i], dtype=np.int64), quiet + 1, (i + 1) % len(gens)
+            while t.tolist() != one:  # t is g^(2^j)
+                if 2 * len(keys) > ORBIT_BLOCK and hi - lo > 1:
                     return False
-                x = np.concatenate((x, y), axis=1)
-                if x.shape[1] > cap and np.bincount(x[0]).max() > cap:
+                r, *x = np.unravel_index(keys, (hi - lo,) + module.factors)
+                union = np.sort(np.concatenate((keys, r * size + _image(module, t, x))))
+                union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+                if len(union) == len(keys):
+                    break
+                # each of the other hi - lo - 1 points keeps a key of its own
+                if len(union) - (hi - lo) >= cap and np.bincount(union // size).max() > cap:
                     raise ResourceCapError(f"{module.name}: orbit exceeds cap {cap}")
-                keys = np.sort(np.concatenate((keys, ykeys[new])))
-                quiet, t = 1, t @ t
-                t[1:] %= mods
-        r, rest = x[0, hi - lo:], x[1:, hi - lo:]  # orbit points past the block's own
-        z = 2 * x[1:, r] - rest  # 2p - x
-        z %= mods
-        zkeys = weights[1:] @ z + weights[0] * r
-        bad[lo + r[keys.take(keys.searchsorted(zkeys), mode="clip") == zkeys]] = True
+                keys, quiet, t = union, 1, t @ t % mods
+        r, x = np.divmod(keys, size)
+        moved = x != codes[lo:hi][r]  # x = p, where 2p - x = p, is left out
+        r, x = r[moved], _coords(module, x[moved])
+        z = r * size + _image(module, one, 2 * _coords(module, codes[lo:hi][r]) - x)  # 2p - x
+        bad[lo + r[keys.take(keys.searchsorted(z), mode="clip") == z]] = True
         return True
 
     bad = np.zeros(len(codes), dtype=bool)
-    width = max(1, min(ORBIT_BLOCK, (2 ** 63 - 1) // module.point_count))
+    width = max(1, min(ORBIT_BLOCK, (2 ** 63 - 1) // size))
     todo = [(lo, min(lo + width, len(codes))) for lo in range(0, len(codes), width)]
     while todo:
         lo, hi = todo.pop()
@@ -479,7 +468,7 @@ def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point],
         s = np.arange(order, dtype=np.int64)
         steps = [s * (x // g) % (d // g) * g
                  for x, d in zip(h, module.factors) for g in [math.gcd(x, d)]]
-        multiples = _radix(module.factors)[0][1:] @ np.array(steps)
+        multiples = _image(module, module.identity(), np.array(steps))
         pos = np.minimum(np.searchsorted(span, multiples), len(span) - 1)
         inside = np.flatnonzero(span[pos] == multiples)  # s = 0 always
         t = int(inside[1]) if len(inside) > 1 else order
@@ -507,9 +496,11 @@ def almost_rational_set(module: GaloisModule,
     So the orbit kernel runs on a lift of one point per orbit of the grid of
     M/F (`_orbit_labels`), and the a.r. set is {lift(q) + f : q a.r., f in F}.
     The steps pass grid codes.  max_points bounds |F|, |M/F| and the output,
-    each checked before it is allocated, and max_closure each orbit.
+    each checked before it is allocated, and max_closure each orbit; the
+    kernel's int64 bounds are checked before any Smith normal form.
     """
     t0 = time.perf_counter()
+    _check_int64(module, module.factors)
     gens, n_fixed = _fixed_generators(module)
     _check_cap(module, n_fixed, "rational points", max_points)
     pres = quotient_presentation(module, gens, name=f"{module.name}/F")
@@ -598,13 +589,17 @@ def _as_matrix(m, k: int, label: str) -> Matrix:
     return mat
 
 
+def _check_span_codes(module: GaloisModule) -> None:
+    if module.point_count > SPAN_POINT_BOUND:
+        raise ResourceCapError(
+            f"{module.name}: {module.point_count} points overflow int64 span codes")
+
+
 def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, ...]:
     """The subgroup the points generate, sorted: `_span_codes` from 0, capped at
     DEFAULT_MAX_POINTS points, on modules of at most SPAN_POINT_BOUND points."""
     gens = [module.check_point(p) for p in gens]
-    if module.point_count > SPAN_POINT_BOUND:
-        raise ResourceCapError(
-            f"{module.name}: {module.point_count} points overflow int64 span codes")
+    _check_span_codes(module)
     cap = DEFAULT_MAX_POINTS  # read per call, so a patched cap applies
     return tuple(_rows(module, _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap)))
 
@@ -671,8 +666,7 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
 
     def lift(codes):  # quotient grid codes to module grid codes
         _check_int64(module, new_factors)  # section entries times quotient coordinates
-        weights, mods = _radix(module.factors)
-        return weights[1:] @ (np.array(section, dtype=np.int64) @ _coords(qmod, codes) % mods)
+        return _image(module, section, _coords(qmod, codes))
 
     return QuotientPresentation(qmod, project, lift)
 
@@ -731,7 +725,9 @@ def halving_exclusion(module: GaloisModule, p: Point,
 
 def fixed_points(module: GaloisModule) -> tuple[Point, ...]:
     """Points fixed by the entire closure (the rational points of the model),
-    spanned from `_fixed_generators` once |F| is within DEFAULT_MAX_POINTS."""
+    spanned from `_fixed_generators` once |F| is within DEFAULT_MAX_POINTS.
+    Modules past SPAN_POINT_BOUND are refused before the Smith normal form."""
+    _check_span_codes(module)
     gens, n_fixed = _fixed_generators(module)
     _check_cap(module, n_fixed, "rational points", DEFAULT_MAX_POINTS)
     return subgroup_span(module, gens)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import sys
+import time
 import tracemalloc
 
 import numpy
@@ -406,6 +407,18 @@ class TestEnumeration:
         assert fast == [is_almost_rational_naive(m, p) for p in pts]
         assert fast == [True, True, False, True, True]  # d/4: 4p = 0, 2p != 0
 
+    def test_refuses_before_any_smith_normal_form(self, monkeypatch):
+        # |M| = 5**1000: the int64 and span bounds refuse before the cubic-time SNFs
+        m = homothety_module(5, 1, 1000)
+        calls = []
+        monkeypatch.setattr(galmod, "smith_normal_form", lambda *a: calls.append(a))
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="overflow"):
+            almost_rational_set(m)
+        with pytest.raises(ResourceCapError, match="overflow"):
+            fixed_points(m)
+        assert time.perf_counter() - start < 1 and not calls
+
     def test_block_keys_never_wrap(self):
         # |M| = 4e18: keys r*|M| + code fit in int64 only for blocks of two points
         d = 2 * 10 ** 9
@@ -417,18 +430,20 @@ class TestEnumeration:
 
     def test_blocks_halve_until_orbits_fit(self, monkeypatch):
         # blocks of several points halve until their orbits fit in ORBIT_BLOCK
-        # rows; with 20,000 rows, the 4620 points of mu_4620 (orbits of up to
-        # 960 points) run over many blocks
+        # keys; with 20,000 keys, the 4620 points of mu_4620 (orbits of up to
+        # 960 points) run over many blocks.  Each block starts from
+        # np.arange(its width), which no other step of the kernel calls.
         monkeypatch.setattr(galmod, "ORBIT_BLOCK", 20_000)
-        widths, vstack = [], numpy.vstack
+        widths, arange = [], numpy.arange
 
-        def spy(arrays, *args, **kwargs):
-            widths.append(len(arrays[0]))
-            return vstack(arrays, *args, **kwargs)
+        def spy(n, *args, **kwargs):
+            widths.append(n)
+            return arange(n, *args, **kwargs)
 
         m = cyclotomic_module(4620)
-        monkeypatch.setattr(numpy, "vstack", spy)
-        bad = _not_ar_mask(m, numpy.arange(m.point_count))
+        codes = numpy.arange(m.point_count)
+        monkeypatch.setattr(numpy, "arange", spy)
+        bad = _not_ar_mask(m, codes)
         monkeypatch.undo()
         assert widths[0] == m.point_count and len(widths) > 10
         points = list(m.points())
@@ -512,7 +527,10 @@ class TestOrbitRepresentatives:
 
     def test_matches_full_grid_on_corpus(self, module_corpus):
         for m in module_corpus:
-            assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
+            expected = _full_grid_ar(m)
+            assert almost_rational_set(m).ar_points == expected, m.name
+            bad = _not_ar_mask(m, numpy.arange(m.point_count))  # every grid code in one call
+            assert tuple(p for p, b in zip(m.points(), bad) if not b) == expected, m.name
 
     def test_matches_full_grid_on_eisenstein_models(self):
         for N in primes_in(23, 300):

@@ -399,3 +399,10 @@ class TestWeilThreshold:
 
     def test_no_cutoff_for_low_exponent(self):
         assert weil_threshold_prime(2, 20).weil_cutoff is None
+
+    def test_bound_past_the_count_bound_refused_before_counting(self):
+        # counting the 78,498 primes below 10**6 first would take hours
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            weil_threshold_prime(2, 1_000_003)
+        assert time.perf_counter() - start < 1

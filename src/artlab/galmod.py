@@ -10,10 +10,14 @@ sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
 difference set {sigma(p) - p} meets its own negation only in 0.  The
 production predicate is one orbit kernel, `_not_ar_mask`, which never lists
 the group; the literal two-quantifier loop is an independent oracle.
-`almost_rational_set` runs the kernel on a lift of one point per Galois
-orbit of M/F, F the rational (fixed) points, and adds F back.  Two lemmas
+`almost_rational_set` labels the Galois orbits of M/F, F the rational
+(fixed) points, and adds F back to the lifts of the a.r. orbits.  Two lemmas
 make that exact: D_{tau p} = tau(D_p) for tau in the group, and
-D_{p+q} = D_p for q in F.
+D_{p+q} = D_p for q in F.  When the lift s of M/F is a Galois-equivariant
+homomorphism (`_lift_splits`; always when F = 0, where s is the identity),
+M = F + s(M/F) and D_{f+s(q)} = s(D_q), so the exact orbit labels answer the
+difference-set test in one pass (`_split_not_ar`); otherwise the kernel runs
+on a lift of one point per orbit.
 """
 
 from __future__ import annotations
@@ -361,7 +365,8 @@ def _check_int64(module: GaloisModule, cols: Sequence[int]) -> None:
     """Refuse unless |M| and each sum_j a_j x_j, a_j < max(d), x_j < cols[j], stay
     below 2**63, so that int64 codes, matrix products and lifts are exact."""
     if module.point_count >= 2 ** 63 or (max(module.factors) - 1) * sum(cols) >= 2 ** 63:
-        raise ResourceCapError(f"{module.name}: factors {module.factors} overflow int64 products")
+        raise ResourceCapError(f"{module.name}: rank {module.rank} with largest factor "
+                               f"{max(module.factors)} overflows int64 products")
 
 
 def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
@@ -417,6 +422,43 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
         lo, hi = todo.pop()
         if not mark(lo, hi):
             todo += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    return bad
+
+
+def _lift_splits(module: GaloisModule, pres: QuotientPresentation) -> bool:
+    """Whether the lift s: Q -> M of pres is a Galois-equivariant homomorphism.
+
+    Checked on generators in exact Python integers: e_j * S[:, j] = 0 mod d for
+    each factor e_j of Q, so s is a homomorphism, and g S = S g' mod d for each
+    generator g of M and the map g' it induces on Q, so s commutes with the
+    whole group.  project(s(q)) = q makes s injective, so when both hold and Q
+    = M/F, M = F + s(Q) is a direct sum of Galois modules.
+    """
+    s, q = pres.section, pres.module
+    if any(x * e % d for row, d in zip(s, module.factors) for x, e in zip(row, q.factors)):
+        return False
+    return all(_reduce_rowwise(mat_mul(g, s), module.factors)
+               == _reduce_rowwise(mat_mul(s, h), module.factors)
+               for g, h in zip(module.generators, q.generators))
+
+
+def _split_not_ar(module: GaloisModule, quotient: GaloisModule, lab: np.ndarray) -> np.ndarray:
+    """The difference-set test read off exact orbit labels, for M = F + s(Q),
+    Q = quotient: True at the orbit representatives of Q that are not a.r.
+
+    p is not a.r. iff some x != p in G p has 2p - x in G p, and `_orbit_labels`
+    gives every orbit exactly, so one pass over x in Q does it: p = lab[x] is
+    bad if x != p and lab[2p - x] = p.  This is Q's a.r. set; M's is F + s of
+    it, since D_{f + s(q)} = s(D_q) and s is injective.  An orbit past
+    max_closure points raises ResourceCapError, as in `_not_ar_mask`.
+    """
+    cap = module.max_closure
+    if np.bincount(lab).max() > cap:
+        raise ResourceCapError(f"{module.name}: orbit exceeds cap {cap}")
+    x = np.arange(len(lab))
+    z = _image(quotient, quotient.identity(), 2 * _coords(quotient, lab) - _coords(quotient, x))
+    bad = np.zeros(len(lab), dtype=bool)
+    bad[lab[(x != lab) & (lab[z] == lab)]] = True
     return bad
 
 
@@ -493,22 +535,36 @@ def almost_rational_set(module: GaloisModule,
       automorphism, so D_{tau p} meets its negation only in 0 iff D_p does;
     - for q in F, D_{p+q} = D_p, since sigma(p + q) - (p + q) = sigma(p) - p;
       and tau(p + q) = tau(p) + q.
-    So the orbit kernel runs on a lift of one point per orbit of the grid of
-    M/F (`_orbit_labels`), and the a.r. set is {lift(q) + f : q a.r., f in F}.
+    So the a.r. set is {lift(q) + f : q a.r., f in F}, and a.r.-ness is
+    constant on each orbit of the grid of M/F (`_orbit_labels`).  Two routes
+    decide it:
+    - split: when the lift s is a Galois-equivariant homomorphism
+      (`_lift_splits`), M = F + s(M/F) as Galois modules and D_{f+s(q)} =
+      s(D_q), so q is a.r. in M/F iff s(q) is a.r. in M, and one pass over the
+      orbit labels tests every orbit (`_split_not_ar`).  F = 0 always takes
+      it: M/F is M, no quotient is presented, and s is the identity;
+    - otherwise the orbit kernel runs on a lift of one point per orbit.
     The steps pass grid codes.  max_points bounds |F|, |M/F| and the output,
-    each checked before it is allocated, and max_closure each orbit; the
-    kernel's int64 bounds are checked before any Smith normal form.
+    each checked before it is allocated, and max_closure each orbit on both
+    routes; the int64 bounds are checked before any Smith normal form.
     """
     t0 = time.perf_counter()
     _check_int64(module, module.factors)
     gens, n_fixed = _fixed_generators(module)
     _check_cap(module, n_fixed, "rational points", max_points)
-    pres = quotient_presentation(module, gens, name=f"{module.name}/F")
-    lab = _orbit_labels(pres.module, max_points)
-    reps = np.flatnonzero(lab == np.arange(len(lab)))
-    bad = np.zeros(len(lab), dtype=bool)
-    bad[reps] = _not_ar_mask(module, pres.lift(reps))
-    lifts = np.sort(pres.lift(np.flatnonzero(~bad[lab])))  # lift(0) = 0 is among them
+    if gens:
+        pres = quotient_presentation(module, gens, name=f"{module.name}/F")
+        quotient, lift, split = pres.module, pres.lift, _lift_splits(module, pres)
+    else:  # F = 0: M/F is M, and the identity is an equivariant lift
+        quotient, lift, split = module, lambda codes: codes, True
+    lab = _orbit_labels(quotient, max_points)
+    if split:
+        bad = _split_not_ar(module, quotient, lab)
+    else:
+        reps = np.flatnonzero(lab == np.arange(len(lab)))
+        bad = np.zeros(len(lab), dtype=bool)
+        bad[reps] = _not_ar_mask(module, lift(reps))
+    lifts = np.sort(lift(np.flatnonzero(~bad[lab])))  # lift(0) = 0 is among them
     del lab, bad
     _check_cap(module, len(lifts) * n_fixed, "almost-rational points", max_points)
     ar = tuple(_rows(module, _span_codes(module, lifts, gens, max_points)))
@@ -535,9 +591,12 @@ def constant_module(n: int, max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisMod
 
 def homothety_module(m: int, e: int, dim: int,
                      max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisModule:
-    """(Z/m)^dim acted on by the e-th power homotheties u^e * Id."""
+    """(Z/m)^dim acted on by the e-th power homotheties u^e * Id.  m^dim >= 2**63,
+    past every int64 bound of the a.r. path, is refused before any matrix exists."""
     if m < 1 or e < 1 or dim < 1:
         raise InvalidInputError(f"homothety_module: bad parameters {(m, e, dim)}")
+    if m > 1 and (dim >= 63 or m ** dim >= 2 ** 63):
+        raise ResourceCapError(f"hom_{m}_e{e}_d{dim}: {m}^{dim} points overflow int64 codes")
     gens = []
     for u in unit_group_generators(m):
         scalar = pow(u, e, m)
@@ -607,11 +666,13 @@ def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, .
 @dataclass(frozen=True)
 class QuotientPresentation:
     """A quotient module, the projection from parent coordinates, and a lift from
-    quotient grid codes to parent grid codes (1-D int64) with project(lift(q)) == q."""
+    quotient grid codes to parent grid codes (1-D int64) with project(lift(q)) == q.
+    The lift is q -> section @ q mod d, section a k x (quotient rank) matrix."""
 
     module: GaloisModule
     project: Callable[[Point], Point] = field(compare=False)
     lift: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    section: Matrix = field(compare=False)
 
 
 def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
@@ -637,7 +698,9 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     if not keep:
         keep = [k - 1]  # trivial quotient, presented as Z/1
     new_factors = tuple(new_d[i] for i in keep)
-    section = [[uinv[j][i] % d for i in keep] for j, d in enumerate(module.factors)]
+    # a Z/1 coordinate is always 0, so its column of the section is 0 too
+    section = _reduce_rowwise([[uinv[j][i] * (new_d[i] > 1) for i in keep]
+                               for j in range(k)], module.factors)
 
     def project(p: Point) -> Point:
         p = module.check_point(p)
@@ -668,7 +731,7 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
         _check_int64(module, new_factors)  # section entries times quotient coordinates
         return _image(module, section, _coords(qmod, codes))
 
-    return QuotientPresentation(qmod, project, lift)
+    return QuotientPresentation(qmod, project, lift, section)
 
 
 def quotient_by(module: GaloisModule, sub: Sequence[Point],

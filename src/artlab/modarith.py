@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import InvalidInputError, ResourceCapError
 
@@ -250,4 +251,5 @@ def primes_in(lo: int, hi: int) -> list[int]:
     for p in range(2, math.isqrt(hi) + 1):
         if sieve[p]:
             sieve[p * p:hi + 1:p] = bytearray(len(range(p * p, hi + 1, p)))
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
+    lo = max(lo, 2)
+    return list(compress(range(lo, hi + 1), sieve[lo:]))

@@ -246,6 +246,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "mu", "997", "--max-closure", "995")
         assert code == 3 and "orbit exceeds cap 995" in err
 
+    def test_oversized_homothety_exits_3_with_one_line(self, capsys):
+        code, out, err = run(capsys, "homothety", "--m", "5", "--e", "1", "--dim", "3000")
+        assert (code, out) == (3, "")
+        assert err == "artlab: hom_5_e1_d3000: 5^3000 points overflow int64 codes\n"
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["frobnicate"])

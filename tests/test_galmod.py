@@ -409,7 +409,7 @@ class TestEnumeration:
 
     def test_refuses_before_any_smith_normal_form(self, monkeypatch):
         # |M| = 5**1000: the int64 and span bounds refuse before the cubic-time SNFs
-        m = homothety_module(5, 1, 1000)
+        m = GaloisModule((5,) * 1000, [])
         calls = []
         monkeypatch.setattr(galmod, "smith_normal_form", lambda *a: calls.append(a))
         start = time.perf_counter()
@@ -418,6 +418,27 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError, match="overflow"):
             fixed_points(m)
         assert time.perf_counter() - start < 1 and not calls
+
+    def test_oversized_homothety_is_refused_before_its_matrices(self):
+        # m^dim >= 2**63 is refused before any dim x dim matrix exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError,
+                               match=r"^hom_5_e1_d3000: 5\^3000 points overflow int64 codes$"):
+                homothety_module(5, 1, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
+        with pytest.raises(ResourceCapError, match="overflow"):
+            homothety_module(2, 1, 63)
+        assert homothety_module(2, 1, 62).point_count == 2 ** 62
+        assert homothety_module(1, 1, 100).point_count == 1
+
+    def test_int64_refusal_is_one_short_line(self):
+        with pytest.raises(ResourceCapError) as exc:
+            almost_rational_set(GaloisModule((5,) * 3000, [], name="big"))
+        assert str(exc.value) == "big: rank 3000 with largest factor 5 overflows int64 products"
 
     def test_block_keys_never_wrap(self):
         # |M| = 4e18: keys r*|M| + code fit in int64 only for blocks of two points
@@ -472,7 +493,7 @@ class TestEnumeration:
         points = list(m.points())
         assert tuple(p for idx, p in enumerate(points) if not bad[idx]) == _full_grid_ar(m)
 
-    def test_orbit_cap_counts_orbit_points(self):
+    def test_orbit_cap_counts_orbit_points(self, monkeypatch):
         # mu_101: the orbit of 1 has exactly 100 points
         for cap in (100, 10 ** 6):
             m = cyclotomic_module(101, max_closure=cap)
@@ -482,6 +503,13 @@ class TestEnumeration:
         for call in (lambda: almost_rational_set(m), lambda: is_almost_rational(m, (1,))):
             with pytest.raises(ResourceCapError, match="^mu_101: orbit exceeds cap 99$"):
                 call()
+        # mu_4620 does not split over F, so the kernel meets its orbits of 960 points
+        kernel, calls = galmod._not_ar_mask, []
+        monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))
+        assert len(almost_rational_set(cyclotomic_module(4620, max_closure=960)).ar_points) == 6
+        with pytest.raises(ResourceCapError, match="^mu_4620: orbit exceeds cap 959$"):
+            almost_rational_set(cyclotomic_module(4620, max_closure=959))
+        assert calls == [1, 1]
         # GL_2(Z/3) has 48 elements but orbits of at most 8 points on (Z/3)^2
         full = almost_rational_set(_gl2_3()).ar_points
         assert almost_rational_set(_gl2_3(max_closure=8)).ar_points == full
@@ -584,12 +612,17 @@ class TestOrbitRepresentatives:
             assert _rational_quotient(m).module.point_count * len(fixed) == m.point_count, m.name
 
     @pytest.mark.parametrize("module,reps", [
-        (eisenstein_model(191).module, 4),
-        (constant_module(12), 1),
-        (GaloisModule((2,) * 6, []), 1),
-        (cyclotomic_module(101), 2),
-    ], ids=["eis_191", "const_12", "trivial_2^6", "mu_101"])
+        (eisenstein_model(191).module, 0),  # n = 95 odd: const_n + mu_n
+        (constant_module(12), 0),  # M = F
+        (GaloisModule((2,) * 6, []), 0),
+        (cyclotomic_module(101), 0),  # F = 0
+        (eisenstein_model(97).module, 3),  # n = 8 even: glued along the 2-torsion
+        (eisenstein_model(41).module, 2),
+        (cyclotomic_module(4620), 32),  # F = {0, 2310} is no summand of Z/4
+    ], ids=["eis_191", "const_12", "trivial_2^6", "mu_101", "eis_97", "eis_41", "mu_4620"])
     def test_kernel_sees_one_point_per_orbit(self, module, reps, monkeypatch):
+        # one kernel call on one point per orbit of M/F, unless the lift of
+        # M/F splits M (reps = 0): then the orbit labels give the a.r. set
         blocks = []
         kernel = galmod._not_ar_mask
 
@@ -599,9 +632,52 @@ class TestOrbitRepresentatives:
 
         monkeypatch.setattr(galmod, "_not_ar_mask", spy)
         rep = almost_rational_set(module)
-        assert blocks == [reps]
+        assert blocks == ([reps] if reps else [])
         assert "closure" not in vars(module)  # the reference below builds it
         assert rep.ar_points == _full_grid_ar(module)
+
+    def test_split_decision_matches_brute_force(self, module_corpus, monkeypatch):
+        # s splits M iff s(q + u_j) = s(q) + s(u_j) for every q and unit
+        # vector u_j of M/F (then s is additive, by induction) and s(g' q) =
+        # g s(q) for every generator g, g' its map on M/F; checked point by
+        # point here, and the kernel runs exactly when s does not split M
+        mods = list(module_corpus) + [eisenstein_model(N).module for N in (41, 97, 191, 241)]
+        mods += [cyclotomic_module(n) for n in (8, 12, 60, 4620)]
+        kernel, calls = galmod._not_ar_mask, []
+        monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))
+        outcomes = []
+        for m in mods:
+            gens = _fixed_generators(m)[0]
+            if not gens:  # F = 0: the identity lift
+                continue
+            pres = quotient_presentation(m, gens)
+            q, parents = pres.module, list(m.points())
+            qpts = list(q.points())
+            index = {p: i for i, p in enumerate(qpts)}
+            lift = [parents[c] for c in pres.lift(numpy.arange(len(qpts))).tolist()]
+            units = [tuple(int(i == j) % e for i, e in enumerate(q.factors)) for j in range(q.rank)]
+            additive = all(lift[index[q.add(p, u)]] == m.add(lift[i], lift[index[u]])
+                           for i, p in enumerate(qpts) for u in units)
+            equivariant = all(lift[index[apply_automorphism(q, h, p)]]
+                              == apply_automorphism(m, g, lift[i])
+                              for g, h in zip(m.generators, q.generators)
+                              for i, p in enumerate(qpts))
+            split = galmod._lift_splits(m, pres)
+            assert split == (additive and equivariant), m.name
+            calls.clear()
+            almost_rational_set(m)
+            assert calls == ([] if split else [1]), m.name
+            outcomes.append(split)
+        assert outcomes.count(True) > 10 and outcomes.count(False) > 10
+
+    def test_no_fixed_points_skip_the_quotient(self, monkeypatch):
+        # F = 0: M/F is M itself, lifted by the identity
+        mods = [cyclotomic_module(101), _gl2_3(), GaloisModule((1001,), [[[1000]]])]
+        monkeypatch.setattr(galmod, "quotient_presentation", None)
+        monkeypatch.setattr(galmod, "_not_ar_mask", None)
+        for m in mods:
+            assert _fixed_generators(m)[1] == 1
+            assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
 
     def test_ar_paths_never_build_the_closure(self, module_corpus):
         def fresh(m):  # the corpus has built its closures already

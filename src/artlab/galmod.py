@@ -14,10 +14,12 @@ the group; the literal two-quantifier loop is an independent oracle.
 (fixed) points, and adds F back to the lifts of the a.r. orbits.  Two lemmas
 make that exact: D_{tau p} = tau(D_p) for tau in the group, and
 D_{p+q} = D_p for q in F.  When the lift s of M/F is a Galois-equivariant
-homomorphism (`_lift_splits`; always when F = 0, where s is the identity),
-M = F + s(M/F) and D_{f+s(q)} = s(D_q), so the exact orbit labels answer the
-difference-set test in one pass (`_split_not_ar`); otherwise the kernel runs
-on a lift of one point per orbit.
+homomorphism (`_lift_splits`; always when F = 0, where s is the identity,
+and whenever each primary part of F is 0 or all of M_p, since s is built
+primary part by primary part), M = F + s(M/F) and D_{f+s(q)} = s(D_q), so
+the exact orbit labels answer the difference-set test in one pass
+(`_split_not_ar`); otherwise the kernel runs on a lift of one point per
+orbit.
 """
 
 from __future__ import annotations
@@ -542,8 +544,11 @@ def almost_rational_set(module: GaloisModule,
       (`_lift_splits`), M = F + s(M/F) as Galois modules and D_{f+s(q)} =
       s(D_q), so q is a.r. in M/F iff s(q) is a.r. in M, and one pass over the
       orbit labels tests every orbit (`_split_not_ar`).  F = 0 always takes
-      it: M/F is M, no quotient is presented, and s is the identity;
-    - otherwise the orbit kernel runs on a lift of one point per orbit.
+      it: M/F is M, no quotient is presented, and s is the identity.  So
+      does every M whose primary parts F_p are each 0 or M_p, since
+      `quotient_presentation` builds s primary part by primary part;
+    - otherwise (some F_p is neither 0 nor M_p, and s does not split) the
+      orbit kernel runs on a lift of one point per orbit.
     The steps pass grid codes.  max_points bounds |F|, |M/F| and the output,
     each checked before it is allocated, and max_closure each orbit on both
     routes; the int64 bounds are checked before any Smith normal form.
@@ -684,7 +689,23 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     span; otherwise the offending generator is named.  The new basis comes
     from the Smith normal form U [diag(d) | sub] V = D; the induced action is
     U A U^{-1} restricted to the nontrivial coordinates, and
-    lift(q) = U^{-1} (q padded with zeros) mod d, on grid codes.
+    lift(q) = c U^{-1} (q padded with zeros) mod d, on grid codes.
+
+    With H = ⟨sub⟩ and Q = M/H, c is the CRT idempotent of the exponent N of
+    M that is 1 mod p^{v_p(N)} for each prime p of |Q| and 0 mod the rest of
+    N; c_p denotes its p-component.  So the section is built primary part by
+    primary part:
+    - project(lift(q)) = c q = q, since the exponent of Q divides the
+      |Q|-primary part of N: lift is still a section;
+    - for a prime p with H_p = 0, the projection restricted to M_p is a
+      Galois-equivariant isomorphism onto Q_p, and q -> c_p U^{-1} q lands in
+      M_p and projects to c_p q = q_p, so it is that isomorphism's inverse
+      applied to q_p: a homomorphism, and equivariant;
+    - a prime with H_p = M_p is not a prime of |Q|, so c is 0 there.
+    So when each primary part of H is 0 or all of M_p, lift is the sum of
+    those inverses, an equivariant homomorphism, and M = H + lift(Q)
+    (`_lift_splits`, which stays the exact test and alone decides mixed
+    primes).
     """
     sub_pts = [module.check_point(p) for p in sub]
     k = module.rank
@@ -698,8 +719,13 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     if not keep:
         keep = [k - 1]  # trivial quotient, presented as Z/1
     new_factors = tuple(new_d[i] for i in keep)
+    order, exponent = math.prod(new_factors), math.lcm(*module.factors)
+    rest = exponent
+    while (g := math.gcd(rest, order)) > 1:
+        rest //= g  # the part of the exponent prime to |Q|
+    c = rest * pow(rest, -1, exponent // rest)  # 1 mod the |Q|-primary part, 0 mod rest
     # a Z/1 coordinate is always 0, so its column of the section is 0 too
-    section = _reduce_rowwise([[uinv[j][i] * (new_d[i] > 1) for i in keep]
+    section = _reduce_rowwise([[c * uinv[j][i] * (new_d[i] > 1) for i in keep]
                                for j in range(k)], module.factors)
 
     def project(p: Point) -> Point:

@@ -548,6 +548,12 @@ def _rational_quotient(m):
     return quotient_presentation(m, _fixed_generators(m)[0])
 
 
+def _cyclic_modules():
+    """mu_n for n < 400 and the homotheties u^e on Z/m for m < 300, e <= 3."""
+    mods = [cyclotomic_module(n) for n in range(1, 400)]
+    return mods + [homothety_module(m, e, 1) for m in range(1, 300) for e in (1, 2, 3)]
+
+
 class TestOrbitRepresentatives:
     """almost_rational_set runs the kernel on a lift of one point per Galois
     orbit on M/F, F the rational points; the full grid through the same
@@ -564,12 +570,6 @@ class TestOrbitRepresentatives:
         for N in primes_in(23, 300):
             m = eisenstein_model(N).module
             assert almost_rational_set(m).ar_points == _full_grid_ar(m), N
-
-    def test_matches_full_grid_on_homothety_modules(self):
-        for m_ in range(1, 300):
-            for e in (1, 2, 3):
-                m = homothety_module(m_, e, 1)
-                assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
 
     def test_labels_constant_under_quotient_generators(self, module_corpus):
         for m in module_corpus:
@@ -596,7 +596,7 @@ class TestOrbitRepresentatives:
             assert _orbit_labels(q).tolist() == expected, m.name
 
     def test_lift_is_a_section_of_the_projection(self, module_corpus):
-        for m in module_corpus:
+        for m in list(module_corpus) + _cyclic_modules():
             pres = _rational_quotient(m)
             points, parents = list(pres.module.points()), list(m.points())
             lifts = pres.lift(numpy.arange(len(points)))  # grid codes in, grid codes out
@@ -617,12 +617,16 @@ class TestOrbitRepresentatives:
         (GaloisModule((2,) * 6, []), 0),
         (cyclotomic_module(101), 0),  # F = 0
         (eisenstein_model(97).module, 3),  # n = 8 even: glued along the 2-torsion
-        (eisenstein_model(41).module, 2),
+        (eisenstein_model(41).module, 0),  # n = 10: F_2 = M_2 and F_5 = 0
         (cyclotomic_module(4620), 32),  # F = {0, 2310} is no summand of Z/4
-    ], ids=["eis_191", "const_12", "trivial_2^6", "mu_101", "eis_97", "eis_41", "mu_4620"])
+        (homothety_module(12, 1, 1), 4),  # F = {0, 6} is no summand of Z/4
+    ], ids=["eis_191", "const_12", "trivial_2^6", "mu_101", "eis_97", "eis_41", "mu_4620",
+            "hom_12_e1_d1"])
     def test_kernel_sees_one_point_per_orbit(self, module, reps, monkeypatch):
         # one kernel call on one point per orbit of M/F, unless the lift of
-        # M/F splits M (reps = 0): then the orbit labels give the a.r. set
+        # M/F splits M (reps = 0): then the orbit labels give the a.r. set.
+        # The lift is built primary part by primary part, so M splits
+        # whenever each F_p is 0 or M_p
         blocks = []
         kernel = galmod._not_ar_mask
 
@@ -642,7 +646,7 @@ class TestOrbitRepresentatives:
         # g s(q) for every generator g, g' its map on M/F; checked point by
         # point here, and the kernel runs exactly when s does not split M
         mods = list(module_corpus) + [eisenstein_model(N).module for N in (41, 97, 191, 241)]
-        mods += [cyclotomic_module(n) for n in (8, 12, 60, 4620)]
+        mods += [cyclotomic_module(n) for n in (8, 12, 60, 4620)] + _cyclic_modules()
         kernel, calls = galmod._not_ar_mask, []
         monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))
         outcomes = []
@@ -669,6 +673,23 @@ class TestOrbitRepresentatives:
             assert calls == ([] if split else [1]), m.name
             outcomes.append(split)
         assert outcomes.count(True) > 10 and outcomes.count(False) > 10
+
+    def test_cyclic_modules_split_exactly_when_each_primary_part_does(self, monkeypatch):
+        # a cyclic p-group is indecomposable, so Z/m splits over F exactly
+        # when each p^a || m has F_p = 0 or F_p = Z/p^a, i.e. v_p(|F|) in {0, a};
+        # the primary-part section then makes the lift split, and no kernel runs
+        kernel, calls = galmod._not_ar_mask, []
+        monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))
+        routes = []
+        for m in _cyclic_modules():
+            n_fixed = _fixed_generators(m)[1]
+            pure = all(sympy.multiplicity(p, n_fixed) in (0, a)
+                       for p, a in sympy.factorint(m.factors[0]).items())
+            calls.clear()
+            assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
+            assert (calls == []) == pure, m.name
+            routes.append(pure)
+        assert routes.count(True) > 100 and routes.count(False) > 100
 
     def test_no_fixed_points_skip_the_quotient(self, monkeypatch):
         # F = 0: M/F is M itself, lifted by the identity

@@ -10,16 +10,17 @@ sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
 difference set {sigma(p) - p} meets its own negation only in 0.  The
 production predicate is one orbit kernel, `_not_ar_mask`, which never lists
 the group; the literal two-quantifier loop is an independent oracle.
-`almost_rational_set` labels the Galois orbits of M/F, F the rational
-(fixed) points, and adds F back to the lifts of the a.r. orbits.  Two lemmas
-make that exact: D_{tau p} = tau(D_p) for tau in the group, and
-D_{p+q} = D_p for q in F.  When the lift s of M/F is a Galois-equivariant
-homomorphism (`_lift_splits`; always when F = 0, where s is the identity,
-and whenever each primary part of F is 0 or all of M_p, since s is built
-primary part by primary part), M = F + s(M/F) and D_{f+s(q)} = s(D_q), so
-the exact orbit labels answer the difference-set test in one pass
-(`_split_not_ar`); otherwise the kernel runs on a lift of one point per
-orbit.
+`almost_rational_set` labels the Galois orbits of M/H, H a Galois-stable
+subgroup of the rational (fixed) points F, and adds H back to the lifts of
+the a.r. orbits.  Two lemmas make that exact: D_{tau p} = tau(D_p) for tau
+in the group, and D_{p+q} = D_p for q in F.  A module of at most
+WHOLE_MODULE_POINTS points takes H = 0 and is labelled whole; a larger one
+takes H = F.  When the lift s of M/H is a Galois-equivariant homomorphism
+(`_lift_splits`; always when H = 0, where s is the identity, and whenever
+each primary part of F is 0 or all of M_p, since s is built primary part by
+primary part), M = H + s(M/H) and D_{f+s(q)} = s(D_q), so the exact orbit
+labels answer the difference-set test in one pass (`_split_not_ar`);
+otherwise the kernel runs on a lift of one point per orbit.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .modarith import unit_group_generators
 from .snf import mat_mul, smith_normal_form
 
 ORBIT_BLOCK = 1 << 20  # orbit points a block of several representatives may hold
+WHOLE_MODULE_POINTS = 1 << 11  # up to this |M|, labelling M beats presenting M/F
 SPAN_POINT_BOUND = 2 ** 62  # keeps every span code, and col + multiple < 2d, below 2**63
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -445,12 +447,13 @@ def _lift_splits(module: GaloisModule, pres: QuotientPresentation) -> bool:
 
 
 def _split_not_ar(module: GaloisModule, quotient: GaloisModule, lab: np.ndarray) -> np.ndarray:
-    """The difference-set test read off exact orbit labels, for M = F + s(Q),
-    Q = quotient: True at the orbit representatives of Q that are not a.r.
+    """The difference-set test read off exact orbit labels, for M = H + s(Q),
+    Q = quotient = M/H, H in F: True at the orbit representatives of Q that
+    are not a.r.
 
     p is not a.r. iff some x != p in G p has 2p - x in G p, and `_orbit_labels`
     gives every orbit exactly, so one pass over x in Q does it: p = lab[x] is
-    bad if x != p and lab[2p - x] = p.  This is Q's a.r. set; M's is F + s of
+    bad if x != p and lab[2p - x] = p.  This is Q's a.r. set; M's is H + s of
     it, since D_{f + s(q)} = s(D_q) and s is injective.  An orbit past
     max_closure points raises ResourceCapError, as in `_not_ar_mask`.
     """
@@ -530,37 +533,47 @@ def almost_rational_set(module: GaloisModule,
                         max_points: int = DEFAULT_MAX_POINTS) -> ARTReport:
     """Enumerate the almost-rational points, sorted; the report's expected is None.
 
-    The a.r. set is a union of preimages of Galois orbits on M/F, F the
-    fixed subgroup:
+    The a.r. set is a union of preimages of Galois orbits on M/H, for any
+    Galois-stable H in the fixed subgroup F:
     - for tau in G, D_{tau p} = tau(D_p), since sigma(tau p) - tau p = tau(tau^-1
       sigma tau (p) - p) and conjugation by tau permutes G; tau is an
       automorphism, so D_{tau p} meets its negation only in 0 iff D_p does;
     - for q in F, D_{p+q} = D_p, since sigma(p + q) - (p + q) = sigma(p) - p;
       and tau(p + q) = tau(p) + q.
-    So the a.r. set is {lift(q) + f : q a.r., f in F}, and a.r.-ness is
-    constant on each orbit of the grid of M/F (`_orbit_labels`).  Two routes
-    decide it:
-    - split: when the lift s is a Galois-equivariant homomorphism
+    So the a.r. set is {lift(q) + h : q a.r. in M/H, h in H}, and a.r.-ness
+    is constant on each orbit of the grid of M/H (`_orbit_labels`).  Three
+    routes decide it:
+    - whole module: when |M| <= min(WHOLE_MODULE_POINTS, max_points), H = 0,
+      M/H is M and the lift s is the identity: no Smith normal form, lift
+      check or span, which cost more than labelling all of a small M.  The
+      labels are exact on M, so the one-pass test (`_split_not_ar`) is the
+      difference-set lemma itself, whether or not M splits over F;
+    - split: otherwise H = F.  When s is a Galois-equivariant homomorphism
       (`_lift_splits`), M = F + s(M/F) as Galois modules and D_{f+s(q)} =
       s(D_q), so q is a.r. in M/F iff s(q) is a.r. in M, and one pass over the
-      orbit labels tests every orbit (`_split_not_ar`).  F = 0 always takes
-      it: M/F is M, no quotient is presented, and s is the identity.  So
-      does every M whose primary parts F_p are each 0 or M_p, since
-      `quotient_presentation` builds s primary part by primary part;
-    - otherwise (some F_p is neither 0 nor M_p, and s does not split) the
-      orbit kernel runs on a lift of one point per orbit.
-    The steps pass grid codes.  max_points bounds |F|, |M/F| and the output,
-    each checked before it is allocated, and max_closure each orbit on both
-    routes; the int64 bounds are checked before any Smith normal form.
+      orbit labels tests every orbit.  F = 0 always takes it, with no
+      quotient presented.  So does every M whose primary parts F_p are each
+      0 or M_p, since `quotient_presentation` builds s primary part by
+      primary part;
+    - kernel: otherwise (some F_p is neither 0 nor M_p, and s does not
+      split) the orbit kernel runs on a lift of one point per orbit.
+    The steps pass grid codes.  max_points bounds |M|, or else |F|, |M/F| and
+    the output, each checked before it is allocated; max_closure bounds each
+    orbit on every route (G(f + x) = f + G x, so the orbits of M have the
+    sizes of the orbits of the lifts).  The int64 bounds are checked before
+    any Smith normal form.
     """
     t0 = time.perf_counter()
     _check_int64(module, module.factors)
-    gens, n_fixed = _fixed_generators(module)
-    _check_cap(module, n_fixed, "rational points", max_points)
+    if module.point_count <= min(WHOLE_MODULE_POINTS, max_points):
+        gens, n_fixed = [], 1  # H = 0: label M itself
+    else:
+        gens, n_fixed = _fixed_generators(module)
+        _check_cap(module, n_fixed, "rational points", max_points)
     if gens:
         pres = quotient_presentation(module, gens, name=f"{module.name}/F")
         quotient, lift, split = pres.module, pres.lift, _lift_splits(module, pres)
-    else:  # F = 0: M/F is M, and the identity is an equivariant lift
+    else:  # H = 0: M/H is M, and the identity is an equivariant lift
         quotient, lift, split = module, lambda codes: codes, True
     lab = _orbit_labels(quotient, max_points)
     if split:

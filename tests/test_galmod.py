@@ -548,6 +548,14 @@ def _rational_quotient(m):
     return quotient_presentation(m, _fixed_generators(m)[0])
 
 
+def _ar_or_refusal(m, **kwargs):
+    """almost_rational_set's a.r. tuple, or the message of its ResourceCapError."""
+    try:
+        return almost_rational_set(m, **kwargs).ar_points
+    except ResourceCapError as exc:
+        return str(exc)
+
+
 def _cyclic_modules():
     """mu_n for n < 400 and the homotheties u^e on Z/m for m < 300, e <= 3."""
     mods = [cyclotomic_module(n) for n in range(1, 400)]
@@ -555,18 +563,23 @@ def _cyclic_modules():
 
 
 class TestOrbitRepresentatives:
-    """almost_rational_set runs the kernel on a lift of one point per Galois
-    orbit on M/F, F the rational points; the full grid through the same
-    kernel is the reference."""
+    """almost_rational_set labels M itself up to WHOLE_MODULE_POINTS points,
+    and past them runs on M/F, F the rational points, the kernel on a lift of
+    one point per Galois orbit; the full grid is the reference.  Tests of the
+    quotient route's own steps set WHOLE_MODULE_POINTS to 0."""
 
-    def test_matches_full_grid_on_corpus(self, module_corpus):
+    @pytest.mark.parametrize("bound", [galmod.WHOLE_MODULE_POINTS, 0], ids=["whole", "quotient"])
+    def test_matches_full_grid_on_corpus(self, module_corpus, bound, monkeypatch):
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", bound)
         for m in module_corpus:
             expected = _full_grid_ar(m)
             assert almost_rational_set(m).ar_points == expected, m.name
             bad = _not_ar_mask(m, numpy.arange(m.point_count))  # every grid code in one call
             assert tuple(p for p, b in zip(m.points(), bad) if not b) == expected, m.name
 
-    def test_matches_full_grid_on_eisenstein_models(self):
+    @pytest.mark.parametrize("bound", [galmod.WHOLE_MODULE_POINTS, 0], ids=["whole", "quotient"])
+    def test_matches_full_grid_on_eisenstein_models(self, bound, monkeypatch):
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", bound)
         for N in primes_in(23, 300):
             m = eisenstein_model(N).module
             assert almost_rational_set(m).ar_points == _full_grid_ar(m), N
@@ -627,6 +640,7 @@ class TestOrbitRepresentatives:
         # M/F splits M (reps = 0): then the orbit labels give the a.r. set.
         # The lift is built primary part by primary part, so M splits
         # whenever each F_p is 0 or M_p
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
         blocks = []
         kernel = galmod._not_ar_mask
 
@@ -645,6 +659,7 @@ class TestOrbitRepresentatives:
         # vector u_j of M/F (then s is additive, by induction) and s(g' q) =
         # g s(q) for every generator g, g' its map on M/F; checked point by
         # point here, and the kernel runs exactly when s does not split M
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
         mods = list(module_corpus) + [eisenstein_model(N).module for N in (41, 97, 191, 241)]
         mods += [cyclotomic_module(n) for n in (8, 12, 60, 4620)] + _cyclic_modules()
         kernel, calls = galmod._not_ar_mask, []
@@ -678,6 +693,7 @@ class TestOrbitRepresentatives:
         # a cyclic p-group is indecomposable, so Z/m splits over F exactly
         # when each p^a || m has F_p = 0 or F_p = Z/p^a, i.e. v_p(|F|) in {0, a};
         # the primary-part section then makes the lift split, and no kernel runs
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
         kernel, calls = galmod._not_ar_mask, []
         monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))
         routes = []
@@ -693,12 +709,88 @@ class TestOrbitRepresentatives:
 
     def test_no_fixed_points_skip_the_quotient(self, monkeypatch):
         # F = 0: M/F is M itself, lifted by the identity
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
         mods = [cyclotomic_module(101), _gl2_3(), GaloisModule((1001,), [[[1000]]])]
         monkeypatch.setattr(galmod, "quotient_presentation", None)
         monkeypatch.setattr(galmod, "_not_ar_mask", None)
         for m in mods:
             assert _fixed_generators(m)[1] == 1
             assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
+
+    def test_small_modules_skip_the_quotient(self, monkeypatch):
+        # |M| <= min(WHOLE_MODULE_POINTS, max_points): M is labelled whole
+        # (H = 0), with no Smith normal form, quotient or kernel, also where M
+        # does not split over F (all four run the kernel on the quotient route)
+        bound = galmod.WHOLE_MODULE_POINTS
+        mods = [cyclotomic_module(4), homothety_module(120, 1, 1), eisenstein_model(97).module,
+                cyclotomic_module(bound)]
+        expected = [_full_grid_ar(m) for m in mods]
+        for name in ("smith_normal_form", "quotient_presentation", "_not_ar_mask"):
+            monkeypatch.setattr(galmod, name, None)
+        for m, ar in zip(mods, expected):
+            assert m.point_count <= bound
+            assert almost_rational_set(m).ar_points == ar, m.name
+            assert almost_rational_set(m, max_points=m.point_count).ar_points == ar, m.name
+
+    def test_one_point_past_the_bound_takes_the_quotient_route(self, monkeypatch):
+        # only past the bound are the rational points F computed
+        bound = galmod.WHOLE_MODULE_POINTS
+        fixed, calls = galmod._fixed_generators, []
+        monkeypatch.setattr(galmod, "_fixed_generators",
+                            lambda m: calls.append(m.name) or fixed(m))
+        for n in (bound - 1, bound, bound + 1):
+            almost_rational_set(cyclotomic_module(n))
+        assert calls == [f"mu_{bound + 1}"]
+        # mu_2048 does not split over F = {0, 1024}: past the bound the kernel runs
+        m = cyclotomic_module(2048)
+        whole = almost_rational_set(m).ar_points
+        kernel, blocks = galmod._not_ar_mask, []
+        monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: blocks.append(1) or kernel(m, c))
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", m.point_count - 1)
+        assert almost_rational_set(m).ar_points == whole
+        assert blocks == [1]
+
+    def test_point_cap_below_the_module_takes_the_quotient_route(self, monkeypatch):
+        # max_points < |M| <= WHOLE_MODULE_POINTS: the quotient route runs, and
+        # |F|, |M/F| and the output are checked as they are past the bound
+        mods = [cyclotomic_module(4), homothety_module(120, 1, 1), eisenstein_model(97).module,
+                homothety_module(12, 1, 1), constant_module(100), eisenstein_model(41).module]
+
+        def outcomes():
+            return {(m.name, cap): _ar_or_refusal(m, max_points=cap)
+                    for m in mods for cap in range(1, m.point_count)}
+
+        capped = outcomes()
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)
+        assert capped == outcomes()
+        assert capped["mu_4", 1] == "mu_4: 2 rational points exceeds the cap 1"
+        assert capped["mu_4", 2] == ((0,), (2,))
+        assert capped["hom_120_e1_d1", 50] == "hom_120_e1_d1/F: 60 points exceeds the cap 50"
+        assert capped["eis_97", 7] == "eis_97: 8 rational points exceeds the cap 7"
+        assert capped["const_100", 99] == "const_100: 100 rational points exceeds the cap 99"
+
+    def test_orbit_cap_refusals_match_the_quotient_route(self, monkeypatch):
+        # F is fixed pointwise, so G(f + x) = f + G x: the orbits of M have the
+        # sizes of the orbits of the lifts, and max_closure refuses the same
+        # modules with the same message on every route
+        mods = [cyclotomic_module(4), homothety_module(120, 1, 1), eisenstein_model(97).module,
+                homothety_module(12, 1, 1), eisenstein_model(41).module, cyclotomic_module(101),
+                _gl2_3()]
+
+        def outcomes():
+            return {(m.name, cap): _ar_or_refusal(GaloisModule(m.factors, m.generators,
+                                                               name=m.name, max_closure=cap))
+                    for m in mods for cap in range(1, len(m.closure) + 1)}
+
+        whole = outcomes()
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)
+        assert whole == outcomes()
+        # the largest refused cap is one below the largest orbit
+        refused = {m.name: max(cap for name, cap in whole if name == m.name
+                               and isinstance(whole[name, cap], str)) for m in mods}
+        assert refused == {"mu_4": 1, "hom_120_e1_d1": 31, "eis_97": 3, "hom_12_e1_d1": 3,
+                           "eis_41": 3, "mu_101": 99, "gl2_3": 7}
+        assert whole["eis_97", 3] == "eis_97: orbit exceeds cap 3"
 
     def test_ar_paths_never_build_the_closure(self, module_corpus):
         def fresh(m):  # the corpus has built its closures already

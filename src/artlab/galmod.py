@@ -16,11 +16,11 @@ the a.r. orbits.  Two lemmas make that exact: D_{tau p} = tau(D_p) for tau
 in the group, and D_{p+q} = D_p for q in F.  A module of at most
 WHOLE_MODULE_POINTS points takes H = 0 and is labelled whole; a larger one
 takes H = F.  When the lift s of M/H is a Galois-equivariant homomorphism
-(`_lift_splits`; always when H = 0, where s is the identity, and whenever
-each primary part of F is 0 or all of M_p, since s is built primary part by
-primary part), M = H + s(M/H) and D_{f+s(q)} = s(D_q), so the exact orbit
-labels answer the difference-set test in one pass (`_split_not_ar`);
-otherwise the kernel runs on a lift of one point per orbit.
+(`QuotientPresentation.splits`; always when H = 0, where s is the identity,
+and whenever each primary part of F is 0 or all of M_p, since s is built
+primary part by primary part), M = H + s(M/H) and D_{f+s(q)} = s(D_q), so
+the exact orbit labels answer the difference-set test in one pass
+(`_split_not_ar`); otherwise the kernel runs on a lift of one point per orbit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class ARTReport:
     points: int
     ar_points: tuple[Point, ...]
     expected: Optional[tuple[Point, ...]]
-    elapsed_ms: float
+    elapsed_ms: float = field(compare=False)
 
     @property
     def verdict(self) -> str:  # "pass" | "fail" | "not-checked"
@@ -367,10 +367,14 @@ def _check_cap(module: GaloisModule, count: int, what: str, max_points: int) -> 
 
 def _check_int64(module: GaloisModule, cols: Sequence[int]) -> None:
     """Refuse unless |M| and each sum_j a_j x_j, a_j < max(d), x_j < cols[j], stay
-    below 2**63, so that int64 codes, matrix products and lifts are exact."""
+    below 2**63, so that int64 codes, matrix products and lifts are exact, and
+    the rank is below 64: a block's keys decode over 1 + rank numpy axes."""
     if module.point_count >= 2 ** 63 or (max(module.factors) - 1) * sum(cols) >= 2 ** 63:
         raise ResourceCapError(f"{module.name}: rank {module.rank} with largest factor "
                                f"{max(module.factors)} overflows int64 products")
+    if module.rank >= 64:  # only factors of 1 get here
+        raise ResourceCapError(
+            f"{module.name}: rank {module.rank} exceeds 63, the most numpy's array axes allow")
 
 
 def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
@@ -393,14 +397,14 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
     """
     _check_int64(module, module.factors)
     size, cap, gens = module.point_count, module.max_closure, module.generators
-    one, mods = list(map(list, module.identity())), np.array(module.factors, np.int64)[:, None]
+    one = module.identity()
 
     def mark(lo, hi):  # marks bad[lo:hi]; False when the block must be halved
         keys = np.arange(hi - lo) * size + codes[lo:hi]
         quiet = i = 0
         while quiet < len(gens):
-            t, quiet, i = np.array(gens[i], dtype=np.int64), quiet + 1, (i + 1) % len(gens)
-            while t.tolist() != one:  # t is g^(2^j)
+            t, quiet, i = gens[i], quiet + 1, (i + 1) % len(gens)
+            while t != one:  # t is g^(2^j)
                 if 2 * len(keys) > ORBIT_BLOCK and hi - lo > 1:
                     return False
                 r, *x = np.unravel_index(keys, (hi - lo,) + module.factors)
@@ -411,7 +415,7 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
                 # each of the other hi - lo - 1 points keeps a key of its own
                 if len(union) - (hi - lo) >= cap and np.bincount(union // size).max() > cap:
                     raise ResourceCapError(f"{module.name}: orbit exceeds cap {cap}")
-                keys, quiet, t = union, 1, t @ t % mods
+                keys, quiet, t = union, 1, module.compose(t, t)
         r, x = np.divmod(keys, size)
         moved = x != codes[lo:hi][r]  # x = p, where 2p - x = p, is left out
         r, x = r[moved], _coords(module, x[moved])
@@ -427,23 +431,6 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
         if not mark(lo, hi):
             todo += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
     return bad
-
-
-def _lift_splits(module: GaloisModule, pres: QuotientPresentation) -> bool:
-    """Whether the lift s: Q -> M of pres is a Galois-equivariant homomorphism.
-
-    Checked on generators in exact Python integers: e_j * S[:, j] = 0 mod d for
-    each factor e_j of Q, so s is a homomorphism, and g S = S g' mod d for each
-    generator g of M and the map g' it induces on Q, so s commutes with the
-    whole group.  project(s(q)) = q makes s injective, so when both hold and Q
-    = M/F, M = F + s(Q) is a direct sum of Galois modules.
-    """
-    s, q = pres.section, pres.module
-    if any(x * e % d for row, d in zip(s, module.factors) for x, e in zip(row, q.factors)):
-        return False
-    return all(_reduce_rowwise(mat_mul(g, s), module.factors)
-               == _reduce_rowwise(mat_mul(s, h), module.factors)
-               for g, h in zip(module.generators, q.generators))
 
 
 def _split_not_ar(module: GaloisModule, quotient: GaloisModule, lab: np.ndarray) -> np.ndarray:
@@ -549,12 +536,11 @@ def almost_rational_set(module: GaloisModule,
       labels are exact on M, so the one-pass test (`_split_not_ar`) is the
       difference-set lemma itself, whether or not M splits over F;
     - split: otherwise H = F.  When s is a Galois-equivariant homomorphism
-      (`_lift_splits`), M = F + s(M/F) as Galois modules and D_{f+s(q)} =
-      s(D_q), so q is a.r. in M/F iff s(q) is a.r. in M, and one pass over the
-      orbit labels tests every orbit.  F = 0 always takes it, with no
-      quotient presented.  So does every M whose primary parts F_p are each
-      0 or M_p, since `quotient_presentation` builds s primary part by
-      primary part;
+      (`QuotientPresentation.splits`), M = F + s(M/F) as Galois modules and
+      D_{f+s(q)} = s(D_q), so q is a.r. in M/F iff s(q) is a.r. in M, and one
+      pass over the orbit labels tests every orbit.  F = 0 always takes it
+      (no quotient is presented), as does every M whose F_p are each 0 or
+      M_p, since `quotient_presentation` builds s primary part by primary part;
     - kernel: otherwise (some F_p is neither 0 nor M_p, and s does not
       split) the orbit kernel runs on a lift of one point per orbit.
     The steps pass grid codes.  max_points bounds |M|, or else |F|, |M/F| and
@@ -572,7 +558,7 @@ def almost_rational_set(module: GaloisModule,
         _check_cap(module, n_fixed, "rational points", max_points)
     if gens:
         pres = quotient_presentation(module, gens, name=f"{module.name}/F")
-        quotient, lift, split = pres.module, pres.lift, _lift_splits(module, pres)
+        quotient, lift, split = pres.module, pres.lift, pres.splits
     else:  # H = 0: M/H is M, and the identity is an equivariant lift
         quotient, lift, split = module, lambda codes: codes, True
     lab = _orbit_labels(quotient, max_points)
@@ -670,6 +656,7 @@ def _check_span_codes(module: GaloisModule) -> None:
     if module.point_count > SPAN_POINT_BOUND:
         raise ResourceCapError(
             f"{module.name}: {module.point_count} points overflow int64 span codes")
+    _check_int64(module, ())  # the rank
 
 
 def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, ...]:
@@ -683,14 +670,39 @@ def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, .
 
 @dataclass(frozen=True)
 class QuotientPresentation:
-    """A quotient module, the projection from parent coordinates, and a lift from
-    quotient grid codes to parent grid codes (1-D int64) with project(lift(q)) == q.
-    The lift is q -> section @ q mod d, section a k x (quotient rank) matrix."""
+    """A quotient `module` of `parent` as two integer matrices: the projection
+    P from parent coordinates, rows reduced mod the quotient's factors, and
+    the section S, a k x (quotient rank) matrix reduced mod the parent's.
+    lift(q) = S q mod d on grid codes, and project(lift(q)) == q."""
 
+    parent: GaloisModule
     module: GaloisModule
-    project: Callable[[Point], Point] = field(compare=False)
-    lift: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    section: Matrix = field(compare=False)
+    projection: Matrix
+    section: Matrix
+
+    def project(self, p: Point) -> Point:
+        return apply_automorphism(self.module, self.projection, self.parent.check_point(p))
+
+    def lift(self, codes: np.ndarray) -> np.ndarray:
+        """Quotient grid codes to parent grid codes, both 1-D int64."""
+        _check_int64(self.parent, self.module.factors)  # entries of S times quotient coordinates
+        return _image(self.parent, self.section, _coords(self.module, codes))
+
+    @property
+    def splits(self) -> bool:
+        """Whether the lift s is a Galois-equivariant homomorphism.
+
+        Checked on generators in exact Python integers: e_j * S[:, j] = 0 mod d for
+        each factor e_j of Q, so s is a homomorphism, and g S = S g' mod d for each
+        generator g of M and the map g' it induces on Q, so s commutes with the
+        whole group.  project(s(q)) = q makes s injective, so when both hold and Q
+        = M/F, M = F + s(Q) is a direct sum of Galois modules.
+        """
+        m, q, s = self.parent, self.module, self.section
+        if any(x * e % d for row, d in zip(s, m.factors) for x, e in zip(row, q.factors)):
+            return False
+        return all(m.compose(g, s) == _reduce_rowwise(mat_mul(s, h), m.factors)
+                   for g, h in zip(m.generators, q.generators))
 
 
 def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
@@ -700,9 +712,10 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     `sub` generates the subgroup (its elements do too; zero may be omitted),
     and each generator of the module must map every point of `sub` into their
     span; otherwise the offending generator is named.  The new basis comes
-    from the Smith normal form U [diag(d) | sub] V = D; the induced action is
-    U A U^{-1} restricted to the nontrivial coordinates, and
-    lift(q) = c U^{-1} (q padded with zeros) mod d, on grid codes.
+    from the Smith normal form U [diag(d) | sub] V = D: P is U restricted to
+    the nontrivial coordinates, S = c U^{-1} on them, and the induced action
+    of A is P A S, which is P A U^{-1} on those coordinates since c = 1 mod
+    the exponent of the quotient.
 
     With H = ⟨sub⟩ and Q = M/H, c is the CRT idempotent of the exponent N of
     M that is 1 mod p^{v_p(N)} for each prime p of |Q| and 0 mod the rest of
@@ -717,8 +730,8 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     - a prime with H_p = M_p is not a prime of |Q|, so c is 0 there.
     So when each primary part of H is 0 or all of M_p, lift is the sum of
     those inverses, an equivariant homomorphism, and M = H + lift(Q)
-    (`_lift_splits`, which stays the exact test and alone decides mixed
-    primes).
+    (`QuotientPresentation.splits`, which stays the exact test and alone
+    decides mixed primes).
     """
     sub_pts = [module.check_point(p) for p in sub]
     k = module.rank
@@ -728,23 +741,20 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     new_d = [diag[i][i] for i in range(k)]
     if any(d < 1 for d in new_d):
         raise RuntimeError("quotient of a finite group must be finite")
-    keep = [i for i in range(k) if new_d[i] > 1]
-    if not keep:
-        keep = [k - 1]  # trivial quotient, presented as Z/1
+    keep = [i for i in range(k) if new_d[i] > 1] or [k - 1]  # a trivial quotient is Z/1
     new_factors = tuple(new_d[i] for i in keep)
     order, exponent = math.prod(new_factors), math.lcm(*module.factors)
     rest = exponent
     while (g := math.gcd(rest, order)) > 1:
         rest //= g  # the part of the exponent prime to |Q|
-    c = rest * pow(rest, -1, exponent // rest)  # 1 mod the |Q|-primary part, 0 mod rest
-    # a Z/1 coordinate is always 0, so its column of the section is 0 too
-    section = _reduce_rowwise([[c * uinv[j][i] * (new_d[i] > 1) for i in keep]
-                               for j in range(k)], module.factors)
-
-    def project(p: Point) -> Point:
-        p = module.check_point(p)
-        return tuple(
-            sum(u[i][j] * p[j] for j in range(k)) % new_d[i] for i in keep)
+    c = rest * pow(rest, -1, exponent // rest)  # 1 mod the |Q|-primary part, 0 mod rest; 0 if Q = 0
+    projection = _reduce_rowwise([u[i] for i in keep], new_factors)
+    section = _reduce_rowwise([[c * row[i] for i in keep] for row in uinv], module.factors)
+    new_gens = [mat_mul(mat_mul(projection, g), section) for g in module.generators]
+    qname = name or f"{module.name}/sub{module.point_count // order}"
+    pres = QuotientPresentation(
+        module, GaloisModule._of_automorphisms(new_factors, new_gens, qname, module.max_closure),
+        projection, section)
 
     # x lies in the span iff project(x) = 0.  A subgroup that each generator
     # maps into itself is mapped into itself by every product of generators,
@@ -753,24 +763,12 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     for g in module.generators:
         for h in sub_pts:
             img = apply_automorphism(module, g, h)
-            if any(project(img)):
+            if any(pres.project(img)):
                 raise InvalidInputError(
                     f"{module.name}: subgroup not Galois-stable; generator "
                     f"{list(map(list, g))} sends {h} to {img}, "
                     f"which is not in the subgroup")
-
-    new_gens = []
-    for g in module.generators:
-        conj = mat_mul(mat_mul(u, g), uinv)
-        new_gens.append([[conj[i][j] for j in keep] for i in keep])
-    qname = name or f"{module.name}/sub{module.point_count // math.prod(new_factors)}"
-    qmod = GaloisModule._of_automorphisms(new_factors, new_gens, qname, module.max_closure)
-
-    def lift(codes):  # quotient grid codes to module grid codes
-        _check_int64(module, new_factors)  # section entries times quotient coordinates
-        return _image(module, section, _coords(qmod, codes))
-
-    return QuotientPresentation(qmod, project, lift, section)
+    return pres
 
 
 def quotient_by(module: GaloisModule, sub: Sequence[Point],
@@ -784,14 +782,11 @@ def quotient_by(module: GaloisModule, sub: Sequence[Point],
 
 def two_step_unipotents(module: GaloisModule) -> tuple[Matrix, ...]:
     """All closure elements with (sigma - 1)^2 = 0 as an endomorphism."""
-    k = module.rank
-    out = []
-    for a in module.closure:
-        m = [[a[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
-        sq = mat_mul(m, m)
-        if all(sq[i][j] % module.factors[i] == 0 for i in range(k) for j in range(k)):
-            out.append(a)
-    return tuple(out)
+    def unipotent(a):
+        m = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        return not any(map(any, module.compose(m, m)))
+
+    return tuple(filter(unipotent, module.closure))
 
 
 def lemma4_audit(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> Lemma4Audit:

@@ -251,6 +251,14 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "artlab: hom_5_e1_d3000: 5^3000 points overflow int64 codes\n"
 
+    def test_rank_64_exits_3_with_one_line(self, capsys):
+        code, out, err = run(capsys, "homothety", "--m", "1", "--e", "1", "--dim", "64")
+        assert (code, out) == (3, "")
+        assert err == ("artlab: hom_1_e1_d64: rank 64 exceeds 63, "
+                       "the most numpy's array axes allow\n")
+        code, out, _ = run(capsys, "homothety", "--m", "1", "--e", "1", "--dim", "63", "--json")
+        assert code == 0 and json.loads(out)["ar_points"] == [[0] * 63]
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["frobnicate"])

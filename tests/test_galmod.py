@@ -352,6 +352,12 @@ class TestEnumeration:
     def test_constant_6_all_points(self):
         assert len(almost_rational_set(constant_module(6)).ar_points) == 6
 
+    def test_reports_compare_by_content(self):
+        # elapsed_ms differs from run to run, so equality leaves it out
+        a, b = (almost_rational_set(cyclotomic_module(12)) for _ in range(2))
+        assert a == dataclasses.replace(b, elapsed_ms=b.elapsed_ms + 1)
+        assert a != dataclasses.replace(b, ar_points=((0,),))
+
     def test_expected_comparison_verdicts(self):
         rep = dataclasses.replace(almost_rational_set(cyclotomic_module(11)), expected=((0,),))
         assert rep.verdict == "pass"
@@ -407,6 +413,15 @@ class TestEnumeration:
         assert fast == [is_almost_rational_naive(m, p) for p in pts]
         assert fast == [True, True, False, True, True]  # d/4: 4p = 0, 2p != 0
 
+    def test_orbits_grow_by_doubling(self, monkeypatch):
+        # the orbit of 1 in mu_65537 is all 2**16 units: each step maps X by
+        # t = g^(2^j) and squares t, so 16 steps fill it and g^(2^16) = 1 ends
+        # the growth; one more image finds 2p - x
+        calls, image = [], galmod._image
+        monkeypatch.setattr(galmod, "_image", lambda *a: calls.append(1) or image(*a))
+        assert _not_ar_mask(cyclotomic_module(65537), numpy.array([1])).tolist() == [True]
+        assert len(calls) == 16 + 1
+
     def test_refuses_before_any_smith_normal_form(self, monkeypatch):
         # |M| = 5**1000: the int64 and span bounds refuse before the cubic-time SNFs
         m = GaloisModule((5,) * 1000, [])
@@ -439,6 +454,22 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError) as exc:
             almost_rational_set(GaloisModule((5,) * 3000, [], name="big"))
         assert str(exc.value) == "big: rank 3000 with largest factor 5 overflows int64 products"
+
+    def test_rank_64_is_refused_and_rank_63_computes(self):
+        # only factors of 1 reach rank 64 below 2**63 points; a block's keys
+        # decode over 1 + rank numpy axes, and numpy allows 64
+        neg = [[4 * (i == j) if i >= 61 else int(i == j) for j in range(63)] for i in range(63)]
+        m = GaloisModule((1,) * 61 + (5, 5), [neg])
+        p = (0,) * 61 + (1, 2)
+        assert is_almost_rational(m, p) and is_almost_rational_naive(m, p)
+        assert len(almost_rational_set(m).ar_points) == 25
+        assert len(subgroup_span(m, [p])) == 5
+        wide = GaloisModule((1,) * 63 + (5,), [], name="wide")
+        for call in (lambda: almost_rational_set(wide), lambda: subgroup_span(wide, []),
+                     lambda: is_almost_rational(wide, (0,) * 64), lambda: fixed_points(wide)):
+            with pytest.raises(ResourceCapError) as exc:
+                call()
+            assert str(exc.value) == "wide: rank 64 exceeds 63, the most numpy's array axes allow"
 
     def test_block_keys_never_wrap(self):
         # |M| = 4e18: keys r*|M| + code fit in int64 only for blocks of two points
@@ -681,7 +712,7 @@ class TestOrbitRepresentatives:
                               == apply_automorphism(m, g, lift[i])
                               for g, h in zip(m.generators, q.generators)
                               for i, p in enumerate(qpts))
-            split = galmod._lift_splits(m, pres)
+            split = pres.splits
             assert split == (additive and equivariant), m.name
             calls.clear()
             almost_rational_set(m)

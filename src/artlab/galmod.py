@@ -9,7 +9,11 @@ A point p is almost rational when sigma(p) - p = p - tau(p) forces
 sigma(p) = tau(p) = p over the whole automorphism group; equivalently the
 difference set {sigma(p) - p} meets its own negation only in 0.  The
 production predicate is one orbit kernel, `_not_ar_mask`, which never lists
-the group; the literal two-quantifier loop is an independent oracle.
+the group; the literal two-quantifier loop is an independent oracle.  Galois
+acts on roots of unity through the cyclotomic character, so every
+constructor's generators commute (`GaloisModule.commutes`); then one turn per
+generator closes the orbits, in the labels and in the kernel, and only
+generators that do not commute take turns until nothing moves.
 `almost_rational_set` labels the Galois orbits of M/H, H a Galois-stable
 subgroup of the rational (fixed) points F, and adds H back to the lifts of
 the a.r. orbits.  Two lemmas make that exact: D_{tau p} = tau(D_p) for tau
@@ -31,7 +35,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -227,6 +231,14 @@ class GaloisModule:
                 f"{self.name}: generator {idx} is not invertible (its image is a proper subgroup)")
 
     @cached_property
+    def commutes(self) -> bool:
+        """Whether the generators pairwise commute, so that the group is abelian
+        (as for every module a constructor builds: Galois acts on roots of unity
+        through the cyclotomic character).  Decided in exact integers."""
+        return all(self.compose(a, b) == self.compose(b, a)
+                   for a, b in combinations(self.generators, 2))
+
+    @cached_property
     def closure(self) -> tuple[Matrix, ...]:
         """The group the generators generate under compose, sorted: a
         breadth-first search from the identity that multiplies each listed
@@ -300,7 +312,7 @@ def is_almost_rational(module: GaloisModule, p: Point) -> bool:
     """Difference-set predicate: D = {sigma(p) - p} must meet -D only in 0."""
     p = module.check_point(p)
     _check_int64(module, module.factors)  # before p's grid code is formed
-    return not _not_ar_mask(module, _image(module, module.identity(), np.transpose([p])))[0]
+    return not _not_ar_mask(module, _codes(module, np.transpose([p])))[0]
 
 
 def is_almost_rational_naive(module: GaloisModule, p: Point) -> bool:
@@ -324,10 +336,15 @@ def _coords(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
     return np.array(np.unravel_index(codes, module.factors), dtype=np.int64)
 
 
+def _codes(module: GaloisModule, coords: np.ndarray) -> np.ndarray:
+    """The grid codes of the (k, n) integer coordinates coords, each reduced mod d."""
+    return np.ravel_multi_index(coords, module.factors, mode="wrap")
+
+
 def _image(module: GaloisModule, mat, pts: np.ndarray) -> np.ndarray:
     """The grid codes of mat @ pts mod d, for j rows of int64 coordinates pts and a
     k x j integer matrix mat; `_check_int64` keeps the products exact."""
-    return np.ravel_multi_index(np.asarray(mat, dtype=np.int64) @ pts, module.factors, mode="wrap")
+    return _codes(module, np.asarray(mat, dtype=np.int64) @ pts)
 
 
 def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
@@ -338,8 +355,12 @@ def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) ->
     lab(x) becomes the least label on x, g x, ..., g^(2^j - 1) x, until a pull
     changes nothing (as once g^(2^j) = 1).  Lemma: then lab(x) <= lab(h x) <=
     ... <= lab(x) for h = g^(2^j), and the windows at x, h x, ... tile the
-    g-cycle of x.  Passes of pulls and pointer jumping (lab = lab[lab]) run
-    until a pass moves no label, so the labels are constant on every orbit.
+    g-cycle of x.  So a pull sets lab(x) to the least earlier label on the
+    g-cycle of x, and one pass over g_1, ..., g_k to the least code on
+    <g_k>...<g_1> x.  When the generators commute (`GaloisModule.commutes`),
+    that set is G x and one pass is exact.  Otherwise passes of pulls and
+    pointer jumping (lab = lab[lab]) run until a pass moves no label, so the
+    labels are constant on every orbit.
     """
     _check_cap(module, module.point_count, "points", max_points)
     _check_int64(module, module.factors)
@@ -349,11 +370,15 @@ def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) ->
     def pull(g):  # whether a label moved
         image = _image(module, g, pts)
         moved = False
-        while ((pulled := lab[image]) < lab).any():
+        while np.count_nonzero((pulled := lab[image]) < lab):
             np.minimum(lab, pulled, out=lab)
             image, moved = image[image], True
         return moved
 
+    if module.commutes:
+        for g in module.generators:
+            pull(g)
+        return lab
     while any([pull(g) for g in module.generators]):  # every pull, then jumps
         while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
@@ -384,12 +409,14 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
     is not a.r. iff some x != p in its orbit has 2p - x in it: G is never
     listed.  Orbits grow by doubling, X <- X u g^(2^j) X for j = 0, 1, ...,
     until g^(2^j) X lies in X or g^(2^j) = 1.  Lemma: the stop is exact, since
-    if X = u_{i<2^j} g^i X0, then g X lies in X u g^(2^j) X0.  The generators
-    take turns until each finds X closed since the last growth.  A block's
-    state is one sorted array of keys r*|M| + code(x), x in the orbit of the
-    block's r-th point: the grid codes of (r, x) in (block) x M.  The 2p - x
-    test runs once, on the final keys.  `_check_int64` keeps |M| and each
-    sum_j A_ij x_j below 2**63, and a block has at most (2**63 - 1) // |M|
+    if X = u_{i<2^j} g^i X0, then g X lies in X u g^(2^j) X0.  So a turn of g
+    leaves X = <g> X0, still h-stable for each h that commutes with g and kept
+    X0 stable: when the generators commute, one turn each gives X = G X0.
+    Otherwise they take turns until each finds X closed since the last growth.
+    A block's state is one sorted array of keys r*|M| + code(x), x in the orbit
+    of the block's r-th point: the grid codes of (r, x) in (block) x M.  The
+    2p - x test runs once, on the final keys.  `_check_int64` keeps |M| and
+    each sum_j A_ij x_j below 2**63, and a block has at most (2**63 - 1) // |M|
     points, so no key wraps.  An orbit past max_closure points raises
     ResourceCapError, and a block of several points is halved before a step
     would sort more than ORBIT_BLOCK keys: each sorted array holds at most
@@ -397,7 +424,7 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
     """
     _check_int64(module, module.factors)
     size, cap, gens = module.point_count, module.max_closure, module.generators
-    one = module.identity()
+    one, abelian = module.identity(), module.commutes
 
     def mark(lo, hi):  # marks bad[lo:hi]; False when the block must be halved
         keys = np.arange(hi - lo) * size + codes[lo:hi]
@@ -415,11 +442,12 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
                 # each of the other hi - lo - 1 points keeps a key of its own
                 if len(union) - (hi - lo) >= cap and np.bincount(union // size).max() > cap:
                     raise ResourceCapError(f"{module.name}: orbit exceeds cap {cap}")
-                keys, quiet, t = union, 1, module.compose(t, t)
+                keys, t = union, module.compose(t, t)
+                quiet = quiet if abelian else 1  # abelian: a quiet round adds nothing
         r, x = np.divmod(keys, size)
         moved = x != codes[lo:hi][r]  # x = p, where 2p - x = p, is left out
         r, x = r[moved], _coords(module, x[moved])
-        z = r * size + _image(module, one, 2 * _coords(module, codes[lo:hi][r]) - x)  # 2p - x
+        z = r * size + _codes(module, 2 * _coords(module, codes[lo:hi][r]) - x)  # 2p - x
         bad[lo + r[keys.take(keys.searchsorted(z), mode="clip") == z]] = True
         return True
 
@@ -445,10 +473,11 @@ def _split_not_ar(module: GaloisModule, quotient: GaloisModule, lab: np.ndarray)
     max_closure points raises ResourceCapError, as in `_not_ar_mask`.
     """
     cap = module.max_closure
-    if np.bincount(lab).max() > cap:
+    if len(lab) > cap and np.bincount(lab).max() > cap:
         raise ResourceCapError(f"{module.name}: orbit exceeds cap {cap}")
     x = np.arange(len(lab))
-    z = _image(quotient, quotient.identity(), 2 * _coords(quotient, lab) - _coords(quotient, x))
+    pts = _coords(quotient, x)
+    z = _codes(quotient, 2 * pts[:, lab] - pts)
     bad = np.zeros(len(lab), dtype=bool)
     bad[lab[(x != lab) & (lab[z] == lab)]] = True
     return bad
@@ -502,7 +531,7 @@ def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point],
         s = np.arange(order, dtype=np.int64)
         steps = [s * (x // g) % (d // g) * g
                  for x, d in zip(h, module.factors) for g in [math.gcd(x, d)]]
-        multiples = _image(module, module.identity(), np.array(steps))
+        multiples = _codes(module, np.array(steps))
         pos = np.minimum(np.searchsorted(span, multiples), len(span) - 1)
         inside = np.flatnonzero(span[pos] == multiples)  # s = 0 always
         t = int(inside[1]) if len(inside) > 1 else order

@@ -190,12 +190,13 @@ def exists_pair(m: int, e: int) -> Optional[PairWitness]:
                 return PairWitness(m, 1, x, y, u=x, v=y)
         return None
     powers = power_subgroup(m, e)
+    roots = powers.roots  # least roots, from the loop that found the powers
     for x in powers.elements:
         if x == one:
             continue
         y = (2 - x) % m
-        if y in powers and y != one:
-            return PairWitness(m, e, x, y, u=_root_of(m, e, x), v=_root_of(m, e, y))
+        if y in roots and y != one:
+            return PairWitness(m, e, x, y, u=roots[x], v=roots[y])
     return None
 
 

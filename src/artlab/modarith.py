@@ -3,7 +3,7 @@ CRT, and quadratic symbols.
 
 Everything here is small-modulus integer arithmetic; Python ints are exact, so
 the bounds enforced are the trial-division cap on factorize and
-RESIDUE_BOUND on the residue loop of power_subgroup and the sieve of
+RESIDUE_BOUND on the residue loop of power_roots and the sieve of
 primes_in.  All set outputs are sorted ascending so downstream goldens are
 reproducible.
 """
@@ -11,7 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
@@ -53,11 +53,13 @@ class UnitSet:
     For modulus 1 the sole residue 0 stands for the unit element.
     Closure under multiplication is a promise of the constructors (and is
     property-tested); sortedness, coprimality and 1-membership are cheap
-    enough to enforce here.
+    enough to enforce here.  `roots`, when a constructor knows them, maps
+    each element to its least root (`power_subgroup`).
     """
 
     modulus: int
     elements: tuple[int, ...]
+    roots: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         m, elems = self.modulus, self.elements
@@ -184,15 +186,23 @@ def check_residue_bound(m: int, label: str) -> None:
         raise ResourceCapError(f"{label} {m} exceeds bound {RESIDUE_BOUND}")
 
 
-def power_subgroup(m: int, e: int) -> UnitSet:
-    """The subgroup {u^e mod m : gcd(u, m) = 1} of (Z/mZ)^*, sorted; m <= RESIDUE_BOUND."""
+def power_roots(m: int, e: int) -> dict[int, int]:
+    """Each e-th power u^e mod m of a unit u, mapped to its least root u, in one
+    loop over the residues; m <= RESIDUE_BOUND.  Mod 1, 0 is its own root."""
     if m < 1 or e < 1:
         raise InvalidInputError(f"power_subgroup: need m >= 1 and e >= 1, got {(m, e)}")
     if m == 1:
-        return UnitSet(1, (0,))
+        return {0: 0}
     check_residue_bound(m, "power_subgroup: modulus")
-    elems = {pow(u, e, m) for u in range(1, m) if math.gcd(u, m) == 1}
-    return UnitSet(m, tuple(sorted(elems)))
+    # u = m - 1, ..., 1, so the least root of each power is the one written last
+    return {pow(u, e, m): u for u in range(m - 1, 0, -1) if math.gcd(u, m) == 1}
+
+
+def power_subgroup(m: int, e: int) -> UnitSet:
+    """The subgroup {u^e mod m : gcd(u, m) = 1} of (Z/mZ)^*, sorted, with the
+    least root of each element; m <= RESIDUE_BOUND."""
+    roots = power_roots(m, e)
+    return UnitSet(m, tuple(sorted(roots)), roots)
 
 
 def crt_combine(parts: list[tuple[int, int]]) -> int:

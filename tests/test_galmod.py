@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import sys
 import time
@@ -416,9 +417,9 @@ class TestEnumeration:
     def test_orbits_grow_by_doubling(self, monkeypatch):
         # the orbit of 1 in mu_65537 is all 2**16 units: each step maps X by
         # t = g^(2^j) and squares t, so 16 steps fill it and g^(2^16) = 1 ends
-        # the growth; one more image finds 2p - x
-        calls, image = [], galmod._image
-        monkeypatch.setattr(galmod, "_image", lambda *a: calls.append(1) or image(*a))
+        # the growth; each step's image and the 2p - x lookup form grid codes once
+        calls, codes = [], galmod._codes
+        monkeypatch.setattr(galmod, "_codes", lambda *a: calls.append(1) or codes(*a))
         assert _not_ar_mask(cyclotomic_module(65537), numpy.array([1])).tolist() == [True]
         assert len(calls) == 16 + 1
 
@@ -579,6 +580,21 @@ def _rational_quotient(m):
     return quotient_presentation(m, _fixed_generators(m)[0])
 
 
+def _least_orbit_codes(m):
+    """Reference labels: breadth-first orbits over the closure, in Python; each
+    grid code maps to the least grid code of its orbit."""
+    points = list(m.points())
+    index = {p: i for i, p in enumerate(points)}
+    expected = [None] * len(points)
+    for p in points:
+        if expected[index[p]] is None:
+            orbit = {apply_automorphism(m, a, p) for a in m.closure}
+            least = min(index[x] for x in orbit)
+            for x in orbit:
+                expected[index[x]] = least
+    return expected
+
+
 def _ar_or_refusal(m, **kwargs):
     """almost_rational_set's a.r. tuple, or the message of its ResourceCapError."""
     try:
@@ -628,16 +644,7 @@ class TestOrbitRepresentatives:
         # breadth-first orbits over the quotient's closure, in Python
         for m in random.Random(41).sample(module_corpus, 40):
             q = _rational_quotient(m).module
-            points = list(q.points())
-            index = {p: i for i, p in enumerate(points)}
-            expected = [None] * len(points)
-            for p in points:
-                if expected[index[p]] is None:
-                    orbit = {apply_automorphism(q, a, p) for a in q.closure}
-                    least = min(index[x] for x in orbit)
-                    for x in orbit:
-                        expected[index[x]] = least
-            assert _orbit_labels(q).tolist() == expected, m.name
+            assert _orbit_labels(q).tolist() == _least_orbit_codes(q), m.name
 
     def test_lift_is_a_section_of_the_projection(self, module_corpus):
         for m in list(module_corpus) + _cyclic_modules():
@@ -849,6 +856,58 @@ class TestOrbitRepresentatives:
         assert len(rep.ar_points) == 2 ** 16
         output = sys.getsizeof(rep.ar_points) + sum(map(sys.getsizeof, rep.ar_points))
         assert peak < 1.5 * output
+
+
+class TestCommutingGenerators:
+    """Galois acts on roots of unity through the cyclotomic character, so every
+    constructor's generators commute and orbits close in one round; generators
+    that do not commute keep the loops that run until nothing moves."""
+
+    NON_ABELIAN = [
+        # one pass of swap then transvection leaves orbits apart: it would find 9 a.r. points
+        GaloisModule((3, 3), [[[0, 1], [1, 0]], [[1, 0], [1, 1]]], name="swap_transvection_3"),
+        GaloisModule((4, 4), [[[0, 1], [1, 0]], [[1, 0], [0, 3]]], name="swap_diag_4"),
+    ]
+
+    def test_every_constructor_yields_commuting_generators(self):
+        mods = [cyclotomic_module(n) for n in range(1, 400)]
+        mods += [homothety_module(m, e, dim)
+                 for m in range(1, 80) for e in (1, 2, 3) for dim in (1, 2)]
+        mods += [direct_sum(f(x), cyclotomic_module(y)) for x in range(1, 30) for y in (8, 15, 24)
+                 for f in (constant_module, cyclotomic_module)]
+        for N in primes_in(23, 3000):
+            m = eisenstein_model(N).module
+            mods += [m, _rational_quotient(m).module]
+        assert [m.name for m in mods if not m.commutes] == []
+
+    def test_non_abelian_modules_do_not_commute(self):
+        assert not any(m.commutes for m in self.NON_ABELIAN + [_gl2_3()])
+        assert GaloisModule((3, 3), [[[0, 1], [1, 0]]] * 2).commutes  # a generator with itself
+
+    def test_labels_take_one_image_per_generator(self, monkeypatch):
+        calls, image = [], galmod._image
+        monkeypatch.setattr(galmod, "_image", lambda *a: calls.append(1) or image(*a))
+        for n in (8, 15, 24, 4620, 65537):
+            m = cyclotomic_module(n)
+            calls.clear()
+            lab = _orbit_labels(m)
+            assert len(calls) == len(m.generators), n
+            # the orbit of x under the units is the points of order n / gcd(x, n)
+            assert lab.tolist() == [math.gcd(x, n) % n for x in range(n)], n
+
+    @pytest.mark.parametrize("module", NON_ABELIAN, ids=lambda m: m.name)
+    def test_non_commuting_generators_run_until_nothing_moves(self, module, monkeypatch):
+        assert _orbit_labels(module).tolist() == _least_orbit_codes(module)
+        naive = tuple(p for p in module.points() if is_almost_rational_naive(module, p))
+        assert naive == {"swap_transvection_3": ((0, 0),),
+                         "swap_diag_4": ((0, 0), (2, 2))}[module.name]
+        for bound in (galmod.WHOLE_MODULE_POINTS, 0):  # whole module, then quotient route
+            monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", bound)
+            assert almost_rational_set(module).ar_points == naive
+        # the kernel, a point at a time and all at once
+        assert tuple(p for p in module.points() if is_almost_rational(module, p)) == naive
+        bad = _not_ar_mask(module, numpy.arange(module.point_count))
+        assert tuple(p for p, b in zip(module.points(), bad) if not b) == naive
 
 
 class TestConstructors:

@@ -80,6 +80,23 @@ class TestExistsPair:
             else:
                 assert w is not None and (w.x, w.y) == expected, (m, e)
 
+    @pytest.mark.parametrize("e", range(1, 9))
+    def test_roots_match_the_root_search(self, e, monkeypatch):
+        # the roots come from power_subgroup's own loop; `_root_of` searches again
+        seen = []
+        monkeypatch.setattr(lemma2, "power_subgroup",
+                            lambda m, e: seen.append(power_subgroup(m, e)) or seen[-1])
+        for m in range(1, 1500):
+            w = exists_pair(m, e)
+            powers = seen.pop() if seen else power_subgroup(m, e)  # e = 1 lists no powers
+            expected = None
+            for x in powers.elements:
+                y = (2 - x) % m
+                if x != 1 % m and y != 1 % m and y in powers:
+                    expected = (x, y, lemma2._root_of(m, e, x), lemma2._root_of(m, e, y))
+                    break
+            assert (None if w is None else (w.x, w.y, w.u, w.v)) == expected, m
+
 
 class TestFailureScan:
     def test_e1_to_100(self):

@@ -14,7 +14,7 @@ from artlab import (
     power_subgroup,
     unit_group_generators,
 )
-from artlab.modarith import is_prime, primes_in
+from artlab.modarith import is_prime, power_roots, primes_in
 
 
 def naive_trial_division(m):
@@ -134,6 +134,17 @@ class TestPowerSubgroup:
         assert 1 in s
         assert all(math.gcd(x, m) == 1 for x in s)
         assert all((a * b) % m in s for a in s for b in s)
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 6])
+    def test_roots_are_the_least_roots(self, e):
+        for m in range(1, 200):
+            s = power_subgroup(m, e)
+            assert s.elements == tuple(sorted(power_roots(m, e))) and s.roots == power_roots(m, e)
+            least = {}
+            for u in range(m - 1, -1, -1):
+                if math.gcd(u, m) == 1:
+                    least[pow(u, e, m)] = u  # 0 stands for the unit mod 1
+            assert s.roots == least, (m, e)
 
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=300)

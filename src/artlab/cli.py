@@ -37,11 +37,14 @@ def _dumps(obj) -> str:
 
 def emit_report(report, as_json: bool) -> str:
     """Serialize a report via its to_text() or to_json(); JSON mode writes one
-    compact object per line, one line per element when to_json() is a list."""
+    compact object per line, one line per element when to_json() is a list.
+    A report with to_json_line() (`ARTReport`) writes that line itself."""
     if not (hasattr(report, "to_json") and hasattr(report, "to_text")):
         raise TypeError(f"emit_report: unsupported report type {type(report)!r}")
     if not as_json:
         return report.to_text()
+    if hasattr(report, "to_json_line"):
+        return report.to_json_line()
     obj = report.to_json()
     return "".join(_dumps(o) + "\n" for o in (obj if isinstance(obj, list) else [obj]))
 

@@ -29,12 +29,13 @@ the exact orbit labels answer the difference-set test in one pass
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -47,46 +48,172 @@ from .snf import mat_mul, smith_normal_form
 ORBIT_BLOCK = 1 << 20  # orbit points a block of several representatives may hold
 WHOLE_MODULE_POINTS = 1 << 11  # up to this |M|, labelling M beats presenting M/F
 SPAN_POINT_BOUND = 2 ** 62  # keeps every span code, and col + multiple < 2d, below 2**63
+ROW_CHUNK = 1 << 12  # points decoded into tuples at a time
 
 Matrix = tuple[tuple[int, ...], ...]
 Point = tuple[int, ...]
 
+_compact = partial(json.dumps, separators=(",", ":"))
 
-@dataclass(frozen=True)
+
+class _Decoded:
+    """A point-tuple field of a grid-code report: decoded on first read into the
+    instance's __dict__, where later reads find it before this non-data
+    descriptor.  Read on the class it raises, so the dataclass sees no default."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError(self.name)
+        grid = report._grid
+        value = report.__dict__[self.name] = tuple(_rows(grid.module, grid.codes(self.name)))
+        return value
+
+
+@dataclass(frozen=True, init=False)
 class ARTReport:
-    """Almost-rational points of one module; the verdict derives from the point sets."""
+    """Almost-rational points of one module; the verdict derives from the point sets.
+
+    A report of `almost_rational_set` holds its sets as sorted int64 grid codes
+    (`_GridSets`): its verdict compares codes, its output is written from them a
+    chunk at a time, and `ar_points` and `expected` are decoded into point
+    tuples on first read.  A report built from point tuples,
+    ARTReport(name, points, ar_points, expected, elapsed_ms), compares them as sets.
+    """
 
     name: str
     points: int
-    ar_points: tuple[Point, ...]
-    expected: Optional[tuple[Point, ...]]
+    ar_points: tuple[Point, ...] = _Decoded()
+    expected: Optional[tuple[Point, ...]] = _Decoded()
     elapsed_ms: float = field(compare=False)
+
+    def __init__(self, name: str, points: int, ar_points: Optional[tuple[Point, ...]],
+                 expected: Optional[tuple[Point, ...]], elapsed_ms: float,
+                 grid: Optional[_GridSets] = None):
+        # frozen, so the fields go straight into __dict__; a grid report leaves
+        # ar_points, and expected when it has one, to be decoded
+        self.__dict__.update(name=name, points=points, elapsed_ms=elapsed_ms, _grid=grid)
+        if grid is None:
+            self.__dict__.update(ar_points=ar_points, expected=expected)
+        elif grid.expected is None:
+            self.__dict__["expected"] = None
 
     @property
     def verdict(self) -> str:  # "pass" | "fail" | "not-checked"
-        if self.expected is None:
+        if not self._has_expected():
             return "not-checked"
-        # equal tuples (the sorted ones the program builds) skip the set builds
-        same = self.ar_points == self.expected or set(self.ar_points) == set(self.expected)
+        if self._grid is not None:
+            same = self._grid.passes()
+        else:  # equal tuples (the sorted ones the program builds) skip the set builds
+            same = self.ar_points == self.expected or set(self.ar_points) == set(self.expected)
         return "pass" if same else "fail"
+
+    def _has_expected(self) -> bool:
+        return self.__dict__.get("expected", ()) is not None  # without decoding it
+
+    def _count(self, name: str) -> int:
+        return len(getattr(self, name) if self._grid is None else self._grid.codes(name))
+
+    def _row_chunks(self, name: str) -> Iterable[Sequence[Point]]:
+        """The points of `ar_points` or `expected`, a chunk at a time."""
+        if self._grid is not None:
+            return self._grid.row_chunks(name)
+        pts = getattr(self, name)
+        return (pts[i:i + ROW_CHUNK] for i in range(0, len(pts), ROW_CHUNK))
 
     def to_json(self) -> dict:
         """The JSON object; "ms" is pinned to 0 so output is deterministic."""
         return {"name": self.name, "points": self.points, "ar_points": self.ar_points,
                 "expected": self.expected, "verdict": self.verdict, "ms": 0}
 
+    def to_json_line(self) -> str:
+        """`to_json()` as one compact JSON line, the point arrays written a chunk
+        at a time."""
+        def array(name):
+            return "[" + ",".join(_compact(rows)[1:-1] for rows in self._row_chunks(name)) + "]"
+
+        expected = array("expected") if self._has_expected() else "null"
+        return (f'{{"name":{_compact(self.name)},"points":{_compact(self.points)},'
+                f'"ar_points":{array("ar_points")},"expected":{expected},'
+                f'"verdict":{_compact(self.verdict)},"ms":0}}\n')
+
     def to_text(self) -> str:
+        # each chunk as compact JSON: "[[0,1],[2,3]]" becomes "(0,1) (2,3)"
+        points = " ".join("(" + _compact(rows)[2:-2].replace("],[", ") (") + ")"
+                          for rows in self._row_chunks("ar_points"))
         lines = [
             f"name    : {self.name}",
             f"points  : {self.points}",
-            f"a.r.    : {len(self.ar_points)} point(s)",
-            "          " + " ".join(
-                "(" + ",".join(map(str, p)) + ")" for p in self.ar_points),
+            f"a.r.    : {self._count('ar_points')} point(s)",
+            "          " + points,
         ]
-        if self.expected is not None:
-            lines.append(f"expected: {len(self.expected)} point(s)")
+        if self._has_expected():
+            lines.append(f"expected: {self._count('expected')} point(s)")
         lines += [f"verdict : {self.verdict}", "ms      : 0"]
         return "\n".join(lines) + "\n"
+
+
+@dataclass(eq=False, slots=True)
+class _GridSets:
+    """The sets of an `almost_rational_set` report as sorted int64 grid codes.
+
+    The a.r. set is A = H + s(A_Q): A_Q the a.r. set of Q = M/H (`quotient_ar`,
+    codes of Q) and s(A_Q) its lifts (`lifts`, codes of M), with H generated by
+    `fixed`, |H| = `n_fixed`, and `pres` presenting Q; when H = 0, `pres` is
+    None and A is the lifts.  `expected` generates E, the subgroup the verdict
+    compares A with, or is None.  A (`ar`) and E (`span`) are spanned in M
+    only when needed, and the verdict (`same`) is found once.
+    """
+
+    module: GaloisModule
+    pres: Optional[QuotientPresentation]
+    fixed: Sequence[Point]
+    n_fixed: int
+    quotient_ar: np.ndarray
+    lifts: np.ndarray
+    expected: Optional[Sequence[Point]]
+    cap: int
+    ar: Optional[np.ndarray] = None
+    span: Optional[np.ndarray] = None
+    same: Optional[bool] = None
+
+    def codes(self, name: str) -> np.ndarray:
+        """The sorted grid codes of A ("ar_points") or E ("expected")."""
+        if name == "ar_points":
+            if self.ar is None:
+                self.ar = _span_codes(self.module, self.lifts, self.fixed, self.cap)
+            return self.ar
+        if self.span is None:
+            self.span = subgroup_span(self.module, self.expected, codes=True)
+        return self.span
+
+    def row_chunks(self, name: str) -> Iterable[list[Point]]:
+        codes = self.codes(name)
+        return (list(_rows(self.module, codes[i:i + ROW_CHUNK]))
+                for i in range(0, len(codes), ROW_CHUNK))
+
+    def passes(self) -> bool:
+        """A = E, decided without listing either in M when H != 0.
+
+        With H = 0 the sorted code arrays are compared.  Otherwise, with pi the
+        projection M -> Q: A = E iff pi(E) = A_Q and |E| = |H| |pi(E)|.  A is a
+        union of cosets of H, so A = pi^-1(A_Q), and A = E gives pi(E) = A_Q
+        and H in E.  Conversely |pi(E)| = |E| / |E n H|, so the orders say H is
+        in E, and then E = pi^-1(pi(E)) = pi^-1(A_Q) = A.  Only the span of
+        pi(E) is built, in Q, and |E| needs at most one Smith normal form.
+        """
+        if self.same is None:
+            if self.pres is None:
+                self.same = np.array_equal(self.lifts, self.codes("expected"))
+            else:
+                q, proj = self.pres.module, self.pres.projection  # expected is checked
+                image = subgroup_span(q, [apply_automorphism(q, proj, p) for p in self.expected],
+                                      codes=True)
+                self.same = bool(np.array_equal(image, self.quotient_ar) and _subgroup_order(
+                    self.module, self.expected) == self.n_fixed * len(image))
+        return self.same
 
 
 @dataclass(frozen=True)
@@ -486,8 +613,8 @@ def _split_not_ar(module: GaloisModule, quotient: GaloisModule, lab: np.ndarray)
 def _rows(module: GaloisModule, codes: np.ndarray) -> Iterable[Point]:
     """The points with the given grid codes, as tuples of ints.  They are built
     a chunk at a time, so no Python list holds every coordinate at once."""
-    for start in range(0, len(codes), 1 << 12):
-        yield from zip(*_coords(module, codes[start:start + (1 << 12)]).tolist())
+    for start in range(0, len(codes), ROW_CHUNK):
+        yield from zip(*_coords(module, codes[start:start + ROW_CHUNK]).tolist())
 
 
 def _fixed_generators(module: GaloisModule) -> tuple[list[Point], int]:
@@ -516,7 +643,8 @@ def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point],
     """The sorted grid codes of start + ⟨gens⟩; start holds the sorted grid
     codes of 0 and of points in other, distinct cosets of ⟨gens⟩.  Each h
     adds X + s*h for 0 < s < t, X the set so far and t the least s >= 1 with
-    s*h in X, so in ⟨gens before h⟩: every element is built once.
+    s*h in X, so in ⟨gens before h⟩: every element is built once.  h = 0 adds
+    nothing, and from X = {0} the step is the multiples of h themselves.
     ResourceCapError ("span exceeds cap") is raised before s = 0 .. order(h) - 1
     exists if order(h) > cap or order(h)^2 >= 2**63, and before a step of
     len(X) * t > cap codes.  Coordinate x mod d of s*h is g * (s * (x/g) mod
@@ -528,10 +656,15 @@ def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point],
         order = module.order_of(h)
         if order > cap or order ** 2 >= 2 ** 63:
             raise ResourceCapError(f"{module.name}: span exceeds cap {cap} points")
+        if order == 1:
+            continue
         s = np.arange(order, dtype=np.int64)
         steps = [s * (x // g) % (d // g) * g
                  for x, d in zip(h, module.factors) for g in [math.gcd(x, d)]]
         multiples = _codes(module, np.array(steps))
+        if len(span) == 1:  # X = {0}, since 0 is in start
+            span = np.sort(multiples)
+            continue
         pos = np.minimum(np.searchsorted(span, multiples), len(span) - 1)
         inside = np.flatnonzero(span[pos] == multiples)  # s = 0 always
         t = int(inside[1]) if len(inside) > 1 else order
@@ -545,9 +678,11 @@ def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point],
     return span
 
 
-def almost_rational_set(module: GaloisModule,
-                        max_points: int = DEFAULT_MAX_POINTS) -> ARTReport:
-    """Enumerate the almost-rational points, sorted; the report's expected is None.
+def almost_rational_set(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS,
+                        expected: Optional[Iterable[Point]] = None) -> ARTReport:
+    """Enumerate the almost-rational points, sorted, as grid codes (`_GridSets`).
+    With `expected`, generators of a subgroup E, the verdict says whether the
+    a.r. set is E; without it the report's expected is None.
 
     The a.r. set is a union of preimages of Galois orbits on M/H, for any
     Galois-stable H in the fixed subgroup F:
@@ -576,10 +711,13 @@ def almost_rational_set(module: GaloisModule,
     the output, each checked before it is allocated; max_closure bounds each
     orbit on every route (G(f + x) = f + G x, so the orbits of M have the
     sizes of the orbits of the lifts).  The int64 bounds are checked before
-    any Smith normal form.
+    any Smith normal form.  H is added to the lifts only when the a.r. points
+    are read or written.
     """
     t0 = time.perf_counter()
     _check_int64(module, module.factors)
+    if expected is not None:
+        expected = [module.check_point(p) for p in expected]
     if module.point_count <= min(WHOLE_MODULE_POINTS, max_points):
         gens, n_fixed = [], 1  # H = 0: label M itself
     else:
@@ -589,7 +727,7 @@ def almost_rational_set(module: GaloisModule,
         pres = quotient_presentation(module, gens, name=f"{module.name}/F")
         quotient, lift, split = pres.module, pres.lift, pres.splits
     else:  # H = 0: M/H is M, and the identity is an equivariant lift
-        quotient, lift, split = module, lambda codes: codes, True
+        pres, quotient, lift, split = None, module, lambda codes: codes, True
     lab = _orbit_labels(quotient, max_points)
     if split:
         bad = _split_not_ar(module, quotient, lab)
@@ -597,11 +735,13 @@ def almost_rational_set(module: GaloisModule,
         reps = np.flatnonzero(lab == np.arange(len(lab)))
         bad = np.zeros(len(lab), dtype=bool)
         bad[reps] = _not_ar_mask(module, lift(reps))
-    lifts = np.sort(lift(np.flatnonzero(~bad[lab])))  # lift(0) = 0 is among them
+    quotient_ar = np.flatnonzero(~bad[lab])
+    lifts = np.sort(lift(quotient_ar))  # lift(0) = 0 is among them
     del lab, bad
     _check_cap(module, len(lifts) * n_fixed, "almost-rational points", max_points)
-    ar = tuple(_rows(module, _span_codes(module, lifts, gens, max_points)))
-    return ARTReport(module.name, module.point_count, ar, None, (time.perf_counter() - t0) * 1e3)
+    grid = _GridSets(module, pres, gens, n_fixed, quotient_ar, lifts, expected, max_points)
+    return ARTReport(module.name, module.point_count, None, None,
+                     (time.perf_counter() - t0) * 1e3, grid)
 
 
 # -- constructors -------------------------------------------------------
@@ -688,13 +828,30 @@ def _check_span_codes(module: GaloisModule) -> None:
     _check_int64(module, ())  # the rank
 
 
-def subgroup_span(module: GaloisModule, gens: Iterable[Point]) -> tuple[Point, ...]:
+def subgroup_span(module: GaloisModule, gens: Iterable[Point], codes: bool = False):
     """The subgroup the points generate, sorted: `_span_codes` from 0, capped at
-    DEFAULT_MAX_POINTS points, on modules of at most SPAN_POINT_BOUND points."""
+    DEFAULT_MAX_POINTS points, on modules of at most SPAN_POINT_BOUND points.
+    A tuple of points, or with codes=True their sorted int64 grid codes."""
     gens = [module.check_point(p) for p in gens]
     _check_span_codes(module)
     cap = DEFAULT_MAX_POINTS  # read per call, so a patched cap applies
-    return tuple(_rows(module, _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap)))
+    span = _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap)
+    return span if codes else tuple(_rows(module, span))
+
+
+def _relations(module: GaloisModule, pts: Sequence[Point]) -> list[list[int]]:
+    """[diag(d) | pts]: its columns span the lattice of Z^k whose quotient is M/<pts>."""
+    return [[d * (i == j) for j in range(module.rank)] + [p[i] for p in pts]
+            for i, d in enumerate(module.factors)]
+
+
+def _subgroup_order(module: GaloisModule, pts: Sequence[Point]) -> int:
+    """|<pts>|: the order of a single point, else |M| / |M/<pts>|, the latter the
+    product of the diagonal of the Smith normal form of `_relations`."""
+    if len(pts) == 1:
+        return module.order_of(pts[0])
+    diag = smith_normal_form(_relations(module, pts))[0]
+    return module.point_count // math.prod(diag[i][i] for i in range(module.rank))
 
 
 @dataclass(frozen=True)
@@ -764,9 +921,7 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     """
     sub_pts = [module.check_point(p) for p in sub]
     k = module.rank
-    relations = [[d * (i == j) for j in range(k)] + [h[i] for h in sub_pts]
-                 for i, d in enumerate(module.factors)]
-    diag, u, uinv = smith_normal_form(relations)
+    diag, u, uinv = smith_normal_form(_relations(module, sub_pts))
     new_d = [diag[i][i] for i in range(k)]
     if any(d < 1 for d in new_d):
         raise RuntimeError("quotient of a finite group must be finite")

@@ -52,9 +52,10 @@ class UnitSet:
 
     For modulus 1 the sole residue 0 stands for the unit element.
     Closure under multiplication is a promise of the constructors (and is
-    property-tested); sortedness, coprimality and 1-membership are cheap
-    enough to enforce here.  `roots`, when a constructor knows them, maps
-    each element to its least root (`power_subgroup`).
+    property-tested); sortedness, coprimality and 1-membership are enforced
+    here, except on the sets `power_subgroup` builds, which hold them by
+    construction (and are tested for them).  `roots`, when a constructor
+    knows them, maps each element to its least root (`power_subgroup`).
     """
 
     modulus: int
@@ -73,6 +74,14 @@ class UnitSet:
             raise InvalidInputError("UnitSet must contain the unit 1")
         if any(not 0 <= x < m or math.gcd(x, m) != 1 for x in elems):
             raise InvalidInputError(f"UnitSet elements must be units mod {m}")
+
+    @classmethod
+    def _of_roots(cls, m: int, roots: dict[int, int]) -> UnitSet:
+        """The sorted keys of `power_roots(m, e)`, unchecked: its loop keeps only
+        units, and 1 = 1^e is among them."""
+        units = object.__new__(cls)
+        units.__dict__.update(modulus=m, elements=tuple(sorted(roots)), roots=roots)
+        return units
 
     @cached_property
     def _members(self) -> frozenset[int]:
@@ -201,8 +210,7 @@ def power_roots(m: int, e: int) -> dict[int, int]:
 def power_subgroup(m: int, e: int) -> UnitSet:
     """The subgroup {u^e mod m : gcd(u, m) = 1} of (Z/mZ)^*, sorted, with the
     least root of each element; m <= RESIDUE_BOUND."""
-    roots = power_roots(m, e)
-    return UnitSet(m, tuple(sorted(roots)), roots)
+    return UnitSet._of_roots(m, power_roots(m, e))
 
 
 def crt_combine(parts: list[tuple[int, int]]) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import sys
@@ -547,6 +548,76 @@ class TestEnumeration:
         assert almost_rational_set(_gl2_3(max_closure=8)).ar_points == full
         with pytest.raises(ResourceCapError, match="^gl2_3: orbit exceeds cap 7$"):
             almost_rational_set(_gl2_3(max_closure=7))
+
+
+def _set_verdict(ar, span):
+    """The full set comparison: "pass" iff the a.r. points are the span's points."""
+    return "pass" if len(ar) == len(span) and set(ar) == set(span) else "fail"
+
+
+def _text_from_tuples(rep):
+    """The text block written point by point from the report's tuples."""
+    lines = [f"name    : {rep.name}", f"points  : {rep.points}",
+             f"a.r.    : {len(rep.ar_points)} point(s)",
+             "          " + " ".join("(" + ",".join(map(str, p)) + ")" for p in rep.ar_points)]
+    if rep.expected is not None:
+        lines.append(f"expected: {len(rep.expected)} point(s)")
+    return "\n".join(lines + [f"verdict : {rep.verdict}", "ms      : 0"]) + "\n"
+
+
+class TestGridReports:
+    """almost_rational_set reports hold grid codes; the verdict compares codes,
+    on M/F when F is taken off, and the full set comparison is the oracle."""
+
+    @pytest.mark.parametrize("bound", [galmod.WHOLE_MODULE_POINTS, 0], ids=["whole", "quotient"])
+    def test_code_verdict_matches_set_comparison_on_corpus(self, module_corpus, bound,
+                                                           monkeypatch):
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", bound)
+        rng = random.Random(27)
+        verdicts = []
+        for m in module_corpus:
+            ar = almost_rational_set(m).ar_points
+            fixed = _fixed_generators(m)[0]
+            candidates = [fixed, fixed + rng.sample(ar, min(3, len(ar))), rng.sample(ar, 1),
+                          [tuple(rng.randrange(d) for d in m.factors)]]
+            for gens in candidates:
+                rep = almost_rational_set(m, expected=gens)
+                verdicts.append(_set_verdict(ar, subgroup_span(m, gens)))
+                assert rep.verdict == verdicts[-1], (m.name, gens)
+                assert rep.ar_points == ar and rep.expected == subgroup_span(m, gens)
+        assert {"pass", "fail"} <= set(verdicts)
+
+    def test_orders_decide_when_the_projections_agree(self, monkeypatch):
+        # every point of Z/4 is rational and a.r., so M/F is one point and pi(E) = A_Q
+        # for every E; only |E| = |F| |pi(E)| tells <2> (2 points) from <1> and <3>
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)
+        m = constant_module(4)
+        verdicts = [almost_rational_set(m, expected=[(x,)]).verdict for x in range(4)]
+        assert verdicts == ["fail", "pass", "fail", "pass"]
+
+    def test_expected_generators_are_checked(self):
+        with pytest.raises(InvalidInputError):
+            almost_rational_set(cyclotomic_module(12), expected=[(12,)])
+
+    def test_grid_report_equals_its_tuple_report(self):
+        rep = almost_rational_set(cyclotomic_module(12), expected=[(2,)])
+        assert "ar_points" not in vars(rep)  # decoded only when read
+        twin = ARTReport(rep.name, rep.points, rep.ar_points, rep.expected, 0.0)
+        assert rep == twin and rep.verdict == twin.verdict == "pass"
+        assert [f.name for f in dataclasses.fields(ARTReport)] == [
+            "name", "points", "ar_points", "expected", "elapsed_ms"]
+
+    @pytest.mark.parametrize("chunk", [galmod.ROW_CHUNK, 3])
+    def test_emission_matches_the_tuple_path(self, module_corpus, chunk, monkeypatch):
+        monkeypatch.setattr(galmod, "ROW_CHUNK", chunk)
+        reports = [ARTReport("x", 3, (), None, 0.0),
+                   ARTReport("y", 3, ((0,), (0,), (2,)), ((0,), (2,)), 0.0)]
+        for m in module_corpus[::5]:
+            reports.append(almost_rational_set(m))
+            reports.append(almost_rational_set(m, expected=_fixed_generators(m)[0]))
+        for rep in reports:
+            assert rep.to_json_line() == json.dumps(rep.to_json(), separators=(",", ":")) + "\n"
+            assert rep.to_text() == _text_from_tuples(rep), rep.name
 
 
 def _full_grid_ar(m):

@@ -1,5 +1,6 @@
 import math
 
+import numpy
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from artlab import (
     InvalidInputError,
+    UnitSet,
     crt_combine,
     euler_phi,
     factorize,
@@ -145,6 +147,24 @@ class TestPowerSubgroup:
                 if math.gcd(u, m) == 1:
                     least[pow(u, e, m)] = u  # 0 stands for the unit mod 1
             assert s.roots == least, (m, e)
+
+    @pytest.mark.parametrize("e", range(1, 9))
+    def test_sets_hold_the_unit_set_invariants(self, e):
+        # power_subgroup skips UnitSet's checks: its loop keeps only units
+        for m in range(1, 2000):
+            units = numpy.flatnonzero(numpy.gcd(numpy.arange(m), m) == 1)
+            powers = numpy.ones_like(units)
+            for _ in range(e):
+                powers = powers * units % m
+            # sorted, distinct, and the e-th powers of the units, so units themselves
+            elements = power_subgroup(m, e).elements
+            assert elements == tuple(numpy.unique(powers).tolist()) and 1 % m in elements, m
+
+    @pytest.mark.parametrize("m,elements", [(6, (5, 1)), (6, (1, 1, 5)), (6, (1, 2)),
+                                            (6, (5,)), (6, (1, 7)), (1, (1,))])
+    def test_direct_construction_still_validates(self, m, elements):
+        with pytest.raises(InvalidInputError):
+            UnitSet(m, elements)
 
     @given(st.integers(min_value=1, max_value=2000))
     @settings(max_examples=300)

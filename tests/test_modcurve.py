@@ -15,8 +15,10 @@ from artlab import (
     survey,
     theorem3_check,
 )
+from artlab import galmod, modcurve
+from artlab.galmod import almost_rational_set
 from artlab.modcurve import OGG_HYPERELLIPTIC, SurveyRecord
-from artlab.modarith import primes_in
+from artlab.modarith import is_prime, primes_in, unit_group_generators
 
 
 class TestEisensteinNumber:
@@ -168,6 +170,69 @@ class TestTheorem3:
     def test_passes_through_primes_to_150(self):
         for N in primes_in(23, 150):
             assert theorem3_check(N).verdict == "pass", N
+
+    def test_level_is_checked_for_primality_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(modcurve, "is_prime", lambda N: calls.append(N) or is_prime(N))
+        theorem3_check(1153)
+        level_invariants(1153)
+        assert calls == [1153, 1153]
+        calls.clear()
+        survey(23, 200)  # the start, then each level's model
+        assert calls == [23] + primes_in(23, 200)
+
+
+def _set_verdict(ar, span):
+    """The full set comparison: "pass" iff the a.r. points are the span's points."""
+    return "pass" if len(ar) == len(span) and set(ar) == set(span) else "fail"
+
+
+class TestCodeVerdicts:
+    """theorem3_check compares grid codes, on M/F where F is taken off; the full
+    comparison of the point sets is the oracle."""
+
+    def test_verdicts_match_set_comparison_to_3000(self):
+        for N in primes_in(23, 3000):
+            rep, model = theorem3_check(N), eisenstein_model(N)
+            assert rep.verdict == _set_verdict(rep.ar_points, model.expected_ar) == "pass", N
+            assert rep.expected == model.expected_ar, N
+
+    def test_perturbed_expected_sets_match_set_comparison(self):
+        verdicts = []
+        for N in primes_in(23, 1500):
+            model = eisenstein_model(N)
+            m, gens = model.module, list(model.expected_generators)
+            ar = theorem3_check(N).ar_points
+            unit = max(unit_group_generators(model.n) + [1])
+            for perturbed in (gens[:1],  # without the Sigma[3] generator
+                              gens + [model.sigma_generator],
+                              [m.scale(unit, g) for g in gens]):
+                rep = almost_rational_set(m, expected=perturbed)
+                # sets of different sizes differ: only equal sizes need the points
+                size = len(subgroup_span(m, perturbed, codes=True))
+                verdicts.append(_set_verdict(ar, subgroup_span(m, perturbed))
+                                if size == len(ar) else "fail")
+                assert rep.verdict == verdicts[-1], (N, perturbed)
+        assert {"pass", "fail"} <= set(verdicts)
+
+    def test_survey_builds_no_point_tuples(self, monkeypatch):
+        calls, rows = [], galmod._rows
+        monkeypatch.setattr(galmod, "_rows", lambda *a: calls.append(a) or rows(*a))
+        assert all(r.verdict == "pass" for r in survey(23, 3000))
+        assert calls == []
+
+    def test_quotient_routes_span_nothing_in_the_model(self, monkeypatch):
+        # past WHOLE_MODULE_POINTS, F is taken off and only pi(E) is spanned, in M/F
+        spanned, span = [], galmod._span_codes
+        monkeypatch.setattr(galmod, "_span_codes",
+                            lambda module, *a: spanned.append(module.name) or span(module, *a))
+        levels = [N for N in primes_in(23, 3000)
+                  if eisenstein_model(N).module.point_count > galmod.WHOLE_MODULE_POINTS]
+        for N in levels:
+            spanned.clear()
+            assert theorem3_check(N).verdict == "pass", N
+            assert spanned and f"eis_{N}" not in spanned, N
+        assert len(levels) > 300
 
 
 class TestSurvey:

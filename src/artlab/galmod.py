@@ -34,7 +34,7 @@ import math
 import operator
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
@@ -56,72 +56,87 @@ Point = tuple[int, ...]
 _compact = partial(json.dumps, separators=(",", ":"))
 
 
-class _Decoded:
-    """A point-tuple field of a grid-code report: decoded on first read into the
-    instance's __dict__, where later reads find it before this non-data
-    descriptor.  Read on the class it raises, so the dataclass sees no default."""
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            raise AttributeError(self.name)
-        grid = report._grid
-        value = report.__dict__[self.name] = tuple(_rows(grid.module, grid.codes(self.name)))
-        return value
-
-
-@dataclass(frozen=True, init=False)
 class ARTReport:
-    """Almost-rational points of one module; the verdict derives from the point sets.
+    """Almost-rational points of one module, as `almost_rational_set` found them.
 
-    A report of `almost_rational_set` holds its sets as sorted int64 grid codes
-    (`_GridSets`): its verdict compares codes, its output is written from them a
-    chunk at a time, and `ar_points` and `expected` are decoded into point
-    tuples on first read.  A report built from point tuples,
-    ARTReport(name, points, ar_points, expected, elapsed_ms), compares them as sets.
+    The a.r. set is A = H + s(A_Q): A_Q the a.r. set of Q = M/H (`quotient_ar`,
+    grid codes of Q) and s(A_Q) its lifts (`lifts`, sorted grid codes of M),
+    with H generated by `fixed`, |H| = `n_fixed`, and `pres` presenting Q; when
+    H = 0, `pres` is None and A is the lifts.  `expected_generators` generate
+    E, the subgroup the verdict compares A with, or are None.  A and E are
+    spanned in M (`ar_codes`, `expected_codes`, at most `cap` points) only when
+    read or written, and decoded into point tuples (`ar_points`, `expected`)
+    only when those are read; each is found once.  Reports compare by content:
+    name, points, ar_points and expected, not elapsed_ms.
     """
 
-    name: str
-    points: int
-    ar_points: tuple[Point, ...] = _Decoded()
-    expected: Optional[tuple[Point, ...]] = _Decoded()
-    elapsed_ms: float = field(compare=False)
+    def __init__(self, module: GaloisModule, pres: Optional[QuotientPresentation],
+                 fixed: Sequence[Point], n_fixed: int, quotient_ar: np.ndarray,
+                 lifts: np.ndarray, expected: Optional[Sequence[Point]], cap: int,
+                 elapsed_ms: float):
+        self.module, self.name, self.points = module, module.name, module.point_count
+        self.pres, self.fixed, self.n_fixed = pres, fixed, n_fixed
+        self.quotient_ar, self.lifts, self.expected_generators = quotient_ar, lifts, expected
+        self.cap, self.elapsed_ms = cap, elapsed_ms
 
-    def __init__(self, name: str, points: int, ar_points: Optional[tuple[Point, ...]],
-                 expected: Optional[tuple[Point, ...]], elapsed_ms: float,
-                 grid: Optional[_GridSets] = None):
-        # frozen, so the fields go straight into __dict__; a grid report leaves
-        # ar_points, and expected when it has one, to be decoded
-        self.__dict__.update(name=name, points=points, elapsed_ms=elapsed_ms, _grid=grid)
-        if grid is None:
-            self.__dict__.update(ar_points=ar_points, expected=expected)
-        elif grid.expected is None:
-            self.__dict__["expected"] = None
+    @cached_property
+    def ar_codes(self) -> np.ndarray:
+        return _span_codes(self.module, self.lifts, self.fixed, self.cap)
 
-    @property
+    @cached_property
+    def expected_codes(self) -> Optional[np.ndarray]:
+        if self.expected_generators is None:
+            return None
+        return subgroup_span(self.module, self.expected_generators, codes=True,
+                             max_points=self.cap)
+
+    @cached_property
+    def ar_points(self) -> tuple[Point, ...]:
+        return tuple(_rows(self.module, self.ar_codes))
+
+    @cached_property
+    def expected(self) -> Optional[tuple[Point, ...]]:
+        codes = self.expected_codes
+        return None if codes is None else tuple(_rows(self.module, codes))
+
+    @cached_property
     def verdict(self) -> str:  # "pass" | "fail" | "not-checked"
-        if not self._has_expected():
+        """Whether A = E, decided without listing either in M when H != 0.
+
+        With H = 0 the sorted code arrays are compared.  Otherwise, with pi the
+        projection M -> Q: A = E iff pi(E) = A_Q and |E| = |H| |pi(E)|.  A is a
+        union of cosets of H, so A = pi^-1(A_Q), and A = E gives pi(E) = A_Q
+        and H in E.  Conversely |pi(E)| = |E| / |E n H|, so the orders say H is
+        in E, and then E = pi^-1(pi(E)) = pi^-1(A_Q) = A.  Only the span of
+        pi(E) is built, in Q, and |E| needs at most one Smith normal form.
+        """
+        gens = self.expected_generators
+        if gens is None:
             return "not-checked"
-        if self._grid is not None:
-            same = self._grid.passes()
-        else:  # equal tuples (the sorted ones the program builds) skip the set builds
-            same = self.ar_points == self.expected or set(self.ar_points) == set(self.expected)
+        if self.pres is None:
+            same = np.array_equal(self.lifts, self.expected_codes)
+        else:
+            q, proj = self.pres.module, self.pres.projection  # gens are checked
+            image = subgroup_span(q, [apply_automorphism(q, proj, p) for p in gens], codes=True)
+            same = (np.array_equal(image, self.quotient_ar)
+                    and _subgroup_order(self.module, gens) == self.n_fixed * len(image))
         return "pass" if same else "fail"
 
-    def _has_expected(self) -> bool:
-        return self.__dict__.get("expected", ()) is not None  # without decoding it
+    def _content(self) -> tuple:
+        return self.name, self.points, self.ar_points, self.expected
 
-    def _count(self, name: str) -> int:
-        return len(getattr(self, name) if self._grid is None else self._grid.codes(name))
+    def __eq__(self, other):
+        if not isinstance(other, ARTReport):
+            return NotImplemented
+        return self._content() == other._content()
 
-    def _row_chunks(self, name: str) -> Iterable[Sequence[Point]]:
-        """The points of `ar_points` or `expected`, a chunk at a time."""
-        if self._grid is not None:
-            return self._grid.row_chunks(name)
-        pts = getattr(self, name)
-        return (pts[i:i + ROW_CHUNK] for i in range(0, len(pts), ROW_CHUNK))
+    def __hash__(self):
+        return hash(self._content())
+
+    def _row_chunks(self, codes: np.ndarray) -> Iterable[list[Point]]:
+        """The points with these grid codes, ROW_CHUNK at a time."""
+        return (list(_rows(self.module, codes[i:i + ROW_CHUNK]))
+                for i in range(0, len(codes), ROW_CHUNK))
 
     def to_json(self) -> dict:
         """The JSON object; "ms" is pinned to 0 so output is deterministic."""
@@ -131,89 +146,29 @@ class ARTReport:
     def to_json_line(self) -> str:
         """`to_json()` as one compact JSON line, the point arrays written a chunk
         at a time."""
-        def array(name):
-            return "[" + ",".join(_compact(rows)[1:-1] for rows in self._row_chunks(name)) + "]"
+        def array(codes):
+            return "[" + ",".join(_compact(rows)[1:-1] for rows in self._row_chunks(codes)) + "]"
 
-        expected = array("expected") if self._has_expected() else "null"
+        codes = self.expected_codes
+        expected = "null" if codes is None else array(codes)
         return (f'{{"name":{_compact(self.name)},"points":{_compact(self.points)},'
-                f'"ar_points":{array("ar_points")},"expected":{expected},'
+                f'"ar_points":{array(self.ar_codes)},"expected":{expected},'
                 f'"verdict":{_compact(self.verdict)},"ms":0}}\n')
 
     def to_text(self) -> str:
         # each chunk as compact JSON: "[[0,1],[2,3]]" becomes "(0,1) (2,3)"
         points = " ".join("(" + _compact(rows)[2:-2].replace("],[", ") (") + ")"
-                          for rows in self._row_chunks("ar_points"))
+                          for rows in self._row_chunks(self.ar_codes))
         lines = [
             f"name    : {self.name}",
             f"points  : {self.points}",
-            f"a.r.    : {self._count('ar_points')} point(s)",
+            f"a.r.    : {len(self.ar_codes)} point(s)",
             "          " + points,
         ]
-        if self._has_expected():
-            lines.append(f"expected: {self._count('expected')} point(s)")
+        if self.expected_codes is not None:
+            lines.append(f"expected: {len(self.expected_codes)} point(s)")
         lines += [f"verdict : {self.verdict}", "ms      : 0"]
         return "\n".join(lines) + "\n"
-
-
-@dataclass(eq=False, slots=True)
-class _GridSets:
-    """The sets of an `almost_rational_set` report as sorted int64 grid codes.
-
-    The a.r. set is A = H + s(A_Q): A_Q the a.r. set of Q = M/H (`quotient_ar`,
-    codes of Q) and s(A_Q) its lifts (`lifts`, codes of M), with H generated by
-    `fixed`, |H| = `n_fixed`, and `pres` presenting Q; when H = 0, `pres` is
-    None and A is the lifts.  `expected` generates E, the subgroup the verdict
-    compares A with, or is None.  A (`ar`) and E (`span`) are spanned in M
-    only when needed, and the verdict (`same`) is found once.
-    """
-
-    module: GaloisModule
-    pres: Optional[QuotientPresentation]
-    fixed: Sequence[Point]
-    n_fixed: int
-    quotient_ar: np.ndarray
-    lifts: np.ndarray
-    expected: Optional[Sequence[Point]]
-    cap: int
-    ar: Optional[np.ndarray] = None
-    span: Optional[np.ndarray] = None
-    same: Optional[bool] = None
-
-    def codes(self, name: str) -> np.ndarray:
-        """The sorted grid codes of A ("ar_points") or E ("expected")."""
-        if name == "ar_points":
-            if self.ar is None:
-                self.ar = _span_codes(self.module, self.lifts, self.fixed, self.cap)
-            return self.ar
-        if self.span is None:
-            self.span = subgroup_span(self.module, self.expected, codes=True)
-        return self.span
-
-    def row_chunks(self, name: str) -> Iterable[list[Point]]:
-        codes = self.codes(name)
-        return (list(_rows(self.module, codes[i:i + ROW_CHUNK]))
-                for i in range(0, len(codes), ROW_CHUNK))
-
-    def passes(self) -> bool:
-        """A = E, decided without listing either in M when H != 0.
-
-        With H = 0 the sorted code arrays are compared.  Otherwise, with pi the
-        projection M -> Q: A = E iff pi(E) = A_Q and |E| = |H| |pi(E)|.  A is a
-        union of cosets of H, so A = pi^-1(A_Q), and A = E gives pi(E) = A_Q
-        and H in E.  Conversely |pi(E)| = |E| / |E n H|, so the orders say H is
-        in E, and then E = pi^-1(pi(E)) = pi^-1(A_Q) = A.  Only the span of
-        pi(E) is built, in Q, and |E| needs at most one Smith normal form.
-        """
-        if self.same is None:
-            if self.pres is None:
-                self.same = np.array_equal(self.lifts, self.codes("expected"))
-            else:
-                q, proj = self.pres.module, self.pres.projection  # expected is checked
-                image = subgroup_span(q, [apply_automorphism(q, proj, p) for p in self.expected],
-                                      codes=True)
-                self.same = bool(np.array_equal(image, self.quotient_ar) and _subgroup_order(
-                    self.module, self.expected) == self.n_fixed * len(image))
-        return self.same
 
 
 @dataclass(frozen=True)
@@ -680,7 +635,7 @@ def _span_codes(module: GaloisModule, start: np.ndarray, gens: Sequence[Point],
 
 def almost_rational_set(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS,
                         expected: Optional[Iterable[Point]] = None) -> ARTReport:
-    """Enumerate the almost-rational points, sorted, as grid codes (`_GridSets`).
+    """Enumerate the almost-rational points, sorted, as grid codes (`ARTReport`).
     With `expected`, generators of a subgroup E, the verdict says whether the
     a.r. set is E; without it the report's expected is None.
 
@@ -708,11 +663,11 @@ def almost_rational_set(module: GaloisModule, max_points: int = DEFAULT_MAX_POIN
     - kernel: otherwise (some F_p is neither 0 nor M_p, and s does not
       split) the orbit kernel runs on a lift of one point per orbit.
     The steps pass grid codes.  max_points bounds |M|, or else |F|, |M/F| and
-    the output, each checked before it is allocated; max_closure bounds each
-    orbit on every route (G(f + x) = f + G x, so the orbits of M have the
-    sizes of the orbits of the lifts).  The int64 bounds are checked before
-    any Smith normal form.  H is added to the lifts only when the a.r. points
-    are read or written.
+    the output (A, and E when it is spanned), each checked before it is
+    allocated; max_closure bounds each orbit on every route (G(f + x) = f +
+    G x, so the orbits of M have the sizes of the orbits of the lifts).  The
+    int64 bounds are checked before any Smith normal form.  H is added to the
+    lifts only when the a.r. points are read or written.
     """
     t0 = time.perf_counter()
     _check_int64(module, module.factors)
@@ -739,9 +694,8 @@ def almost_rational_set(module: GaloisModule, max_points: int = DEFAULT_MAX_POIN
     lifts = np.sort(lift(quotient_ar))  # lift(0) = 0 is among them
     del lab, bad
     _check_cap(module, len(lifts) * n_fixed, "almost-rational points", max_points)
-    grid = _GridSets(module, pres, gens, n_fixed, quotient_ar, lifts, expected, max_points)
-    return ARTReport(module.name, module.point_count, None, None,
-                     (time.perf_counter() - t0) * 1e3, grid)
+    return ARTReport(module, pres, gens, n_fixed, quotient_ar, lifts, expected, max_points,
+                     (time.perf_counter() - t0) * 1e3)
 
 
 # -- constructors -------------------------------------------------------
@@ -828,13 +782,15 @@ def _check_span_codes(module: GaloisModule) -> None:
     _check_int64(module, ())  # the rank
 
 
-def subgroup_span(module: GaloisModule, gens: Iterable[Point], codes: bool = False):
+def subgroup_span(module: GaloisModule, gens: Iterable[Point], codes: bool = False,
+                  max_points: Optional[int] = None):
     """The subgroup the points generate, sorted: `_span_codes` from 0, capped at
-    DEFAULT_MAX_POINTS points, on modules of at most SPAN_POINT_BOUND points.
-    A tuple of points, or with codes=True their sorted int64 grid codes."""
+    max_points (by default DEFAULT_MAX_POINTS) points, on modules of at most
+    SPAN_POINT_BOUND points.  A tuple of points, or with codes=True their
+    sorted int64 grid codes."""
     gens = [module.check_point(p) for p in gens]
     _check_span_codes(module)
-    cap = DEFAULT_MAX_POINTS  # read per call, so a patched cap applies
+    cap = DEFAULT_MAX_POINTS if max_points is None else max_points  # read per call
     span = _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap)
     return span if codes else tuple(_rows(module, span))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from artlab import (
-    ARTReport,
     GaloisModule,
     InvalidInputError,
     ResourceCapError,
@@ -356,15 +354,16 @@ class TestEnumeration:
 
     def test_reports_compare_by_content(self):
         # elapsed_ms differs from run to run, so equality leaves it out
-        a, b = (almost_rational_set(cyclotomic_module(12)) for _ in range(2))
-        assert a == dataclasses.replace(b, elapsed_ms=b.elapsed_ms + 1)
-        assert a != dataclasses.replace(b, ar_points=((0,),))
+        a, b = (almost_rational_set(cyclotomic_module(12), expected=[(2,)]) for _ in range(2))
+        b.elapsed_ms += 1
+        assert a == b and hash(a) == hash(b)
+        assert a != almost_rational_set(cyclotomic_module(12), expected=[(4,)])  # E = <4>
+        assert a != almost_rational_set(cyclotomic_module(12))  # no E
 
     def test_expected_comparison_verdicts(self):
-        rep = dataclasses.replace(almost_rational_set(cyclotomic_module(11)), expected=((0,),))
+        rep = almost_rational_set(cyclotomic_module(11), expected=[(0,)])
         assert rep.verdict == "pass"
-        rep = dataclasses.replace(almost_rational_set(cyclotomic_module(11)),
-                                  expected=((0,), (1,)))
+        rep = almost_rational_set(cyclotomic_module(11), expected=[(1,)])
         assert rep.verdict == "fail"
 
     def test_point_cap(self):
@@ -373,12 +372,12 @@ class TestEnumeration:
 
     def test_verdict_is_derived_from_point_sets(self):
         # no stored verdict, so no report can disagree with its own point sets
-        assert "verdict" not in {f.name for f in dataclasses.fields(ARTReport)}
-        assert ARTReport("x", 3, ((0,),), ((0,), (1,)), 0.0).verdict == "fail"
-        assert ARTReport("x", 3, ((1,), (0,)), ((0,), (1,)), 0.0).verdict == "pass"
-        assert ARTReport("x", 3, ((0,),), None, 0.0).verdict == "not-checked"
-        # unequal tuples fall back to set semantics: duplicates do not matter
-        assert ARTReport("x", 3, ((0,), (0,)), ((0,),), 0.0).verdict == "pass"
+        m = cyclotomic_module(3)  # every point of mu_3 is a.r.
+        for gens, verdict in (([(0,)], "fail"), ([(1,)], "pass"), ([(2,), (1,)], "pass")):
+            rep = almost_rational_set(m, expected=gens)
+            assert "verdict" not in vars(rep)
+            assert rep.verdict == _set_verdict(rep.ar_points, rep.expected) == verdict
+        assert almost_rational_set(m).verdict == "not-checked"
 
     def test_block_kernel_matches_naive_oracle(self, monkeypatch):
         mods = [cyclotomic_module(n) for n in (8, 12, 30, 101)]
@@ -599,19 +598,48 @@ class TestGridReports:
         with pytest.raises(InvalidInputError):
             almost_rational_set(cyclotomic_module(12), expected=[(12,)])
 
-    def test_grid_report_equals_its_tuple_report(self):
+    def test_point_tuples_are_decoded_on_first_read(self):
         rep = almost_rational_set(cyclotomic_module(12), expected=[(2,)])
-        assert "ar_points" not in vars(rep)  # decoded only when read
-        twin = ARTReport(rep.name, rep.points, rep.ar_points, rep.expected, 0.0)
-        assert rep == twin and rep.verdict == twin.verdict == "pass"
-        assert [f.name for f in dataclasses.fields(ARTReport)] == [
-            "name", "points", "ar_points", "expected", "elapsed_ms"]
+        assert not {"ar_points", "expected", "ar_codes", "expected_codes"} & set(vars(rep))
+        assert rep.verdict == "pass" and "ar_points" not in vars(rep)
+        assert rep.ar_points == rep.expected == ((0,), (2,), (4,), (6,), (8,), (10,))
+        assert rep.ar_points is rep.ar_points  # decoded once, then kept
+
+    @pytest.mark.parametrize("bound", [galmod.WHOLE_MODULE_POINTS, 0], ids=["whole", "quotient"])
+    def test_reads_span_each_set_once(self, bound, monkeypatch):
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", bound)
+        spans, orders = [], []
+        span, order = galmod._span_codes, galmod._subgroup_order
+        monkeypatch.setattr(galmod, "_span_codes",
+                            lambda module, *a: spans.append(module.name) or span(module, *a))
+        monkeypatch.setattr(galmod, "_subgroup_order",
+                            lambda *a: orders.append(a) or order(*a))
+        m = direct_sum(constant_module(9), cyclotomic_module(9))  # A = Z/9 + 3 mu_9
+        rep = almost_rational_set(m, expected=[(1, 0), (0, 3)])
+        for _ in range(2):
+            assert rep.verdict == "pass"
+            rep.to_text(), rep.to_json_line()
+        # A and E are spanned in M; on the quotient route pi(E) is spanned in M/F
+        assert sorted(spans) == [m.name, m.name] + [f"{m.name}/F"] * (bound == 0)
+        assert len(orders) == (bound == 0)
+
+    def test_expected_set_is_spanned_under_the_report_cap(self):
+        m = direct_sum(constant_module(7), cyclotomic_module(7))  # A = const_7, 7 points
+        gens = [(1, 0), (0, 1)]  # E = M, 49 points
+        rep = almost_rational_set(m, max_points=10, expected=gens)
+        assert rep.verdict == "fail" and len(rep.ar_points) == 7
+        for read in (lambda: rep.expected, rep.to_json_line, rep.to_text):
+            with pytest.raises(ResourceCapError):
+                read()
+        rep = almost_rational_set(m, max_points=49, expected=gens)
+        line = json.loads(rep.to_json_line())
+        assert line["verdict"] == "fail" and len(line["expected"]) == 49
+        assert "expected: 49 point(s)" in rep.to_text()
 
     @pytest.mark.parametrize("chunk", [galmod.ROW_CHUNK, 3])
     def test_emission_matches_the_tuple_path(self, module_corpus, chunk, monkeypatch):
         monkeypatch.setattr(galmod, "ROW_CHUNK", chunk)
-        reports = [ARTReport("x", 3, (), None, 0.0),
-                   ARTReport("y", 3, ((0,), (0,), (2,)), ((0,), (2,)), 0.0)]
+        reports = []
         for m in module_corpus[::5]:
             reports.append(almost_rational_set(m))
             reports.append(almost_rational_set(m, expected=_fixed_generators(m)[0]))

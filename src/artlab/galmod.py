@@ -19,12 +19,11 @@ subgroup of the rational (fixed) points F, and adds H back to the lifts of
 the a.r. orbits.  Two lemmas make that exact: D_{tau p} = tau(D_p) for tau
 in the group, and D_{p+q} = D_p for q in F.  A module of at most
 WHOLE_MODULE_POINTS points takes H = 0 and is labelled whole; a larger one
-takes H = F.  When the lift s of M/H is a Galois-equivariant homomorphism
-(`QuotientPresentation.splits`; always when H = 0, where s is the identity,
-and whenever each primary part of F is 0 or all of M_p, since s is built
-primary part by primary part), M = H + s(M/H) and D_{f+s(q)} = s(D_q), so
-the exact orbit labels answer the difference-set test in one pass
-(`_split_not_ar`); otherwise the kernel runs on a lift of one point per orbit.
+takes H = F.  When H has a Galois-stable complement C (always when H = 0;
+decided by a lemma in `almost_rational_set`, with no section built), the
+projection maps C isomorphically onto M/H and D_{h+c} = D_c, so the exact
+orbit labels answer the difference-set test in one pass (`_split_not_ar`);
+otherwise the kernel runs on a lift of one point per orbit.
 """
 
 from __future__ import annotations
@@ -303,12 +302,9 @@ class GaloisModule:
     def _check_invertible(self, mat: Matrix, idx: int) -> None:
         # An endomorphism of a finite group is bijective iff it is surjective.
         # A is onto ⊕ Z/d_i iff the columns of A together with those of diag(d)
-        # span Z^k, i.e. iff every invariant factor of [A | diag(d)] is 1.
-        k = len(self.factors)
-        relations = [list(row) + [d if j == i else 0 for j in range(k)]
-                     for i, (row, d) in enumerate(zip(mat, self.factors))]
-        diag = smith_normal_form(relations)[0]
-        if any(diag[i][i] != 1 for i in range(k)):
+        # span Z^k, i.e. iff every invariant factor of [diag(d) | A] is 1.
+        diag = smith_normal_form(_relations(self, list(zip(*mat))))[0]
+        if any(diag[i][i] != 1 for i in range(self.rank)):
             raise InvalidInputError(
                 f"{self.name}: generator {idx} is not invertible (its image is a proper subgroup)")
 
@@ -544,15 +540,16 @@ def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
 
 
 def _split_not_ar(module: GaloisModule, quotient: GaloisModule, lab: np.ndarray) -> np.ndarray:
-    """The difference-set test read off exact orbit labels, for M = H + s(Q),
-    Q = quotient = M/H, H in F: True at the orbit representatives of Q that
-    are not a.r.
+    """The difference-set test read off exact orbit labels, for M = H ⊕ C with
+    C Galois-stable, Q = quotient = M/H, H in F: True at the orbit
+    representatives of Q that are not a.r.
 
     p is not a.r. iff some x != p in G p has 2p - x in G p, and `_orbit_labels`
     gives every orbit exactly, so one pass over x in Q does it: p = lab[x] is
-    bad if x != p and lab[2p - x] = p.  This is Q's a.r. set; M's is H + s of
-    it, since D_{f + s(q)} = s(D_q) and s is injective.  An orbit past
-    max_closure points raises ResourceCapError, as in `_not_ar_mask`.
+    bad if x != p and lab[2p - x] = p.  This is Q's a.r. set; M's is its
+    preimage, since the projection maps C onto Q as a Galois isomorphism and
+    D_{h + c} = D_c.  An orbit past max_closure points raises
+    ResourceCapError, as in `_not_ar_mask`.
     """
     cap = module.max_closure
     if len(lab) > cap and np.bincount(lab).max() > cap:
@@ -646,22 +643,35 @@ def almost_rational_set(module: GaloisModule, max_points: int = DEFAULT_MAX_POIN
       automorphism, so D_{tau p} meets its negation only in 0 iff D_p does;
     - for q in F, D_{p+q} = D_p, since sigma(p + q) - (p + q) = sigma(p) - p;
       and tau(p + q) = tau(p) + q.
-    So the a.r. set is {lift(q) + h : q a.r. in M/H, h in H}, and a.r.-ness
-    is constant on each orbit of the grid of M/H (`_orbit_labels`).  Three
-    routes decide it:
+    So the a.r. set is {lift(q) + h : q a.r. in M/H, h in H}, for any lift,
+    and a.r.-ness is constant on each orbit of the grid of M/H
+    (`_orbit_labels`).  Three routes decide it:
     - whole module: when |M| <= min(WHOLE_MODULE_POINTS, max_points), H = 0,
-      M/H is M and the lift s is the identity: no Smith normal form, lift
-      check or span, which cost more than labelling all of a small M.  The
-      labels are exact on M, so the one-pass test (`_split_not_ar`) is the
-      difference-set lemma itself, whether or not M splits over F;
-    - split: otherwise H = F.  When s is a Galois-equivariant homomorphism
-      (`QuotientPresentation.splits`), M = F + s(M/F) as Galois modules and
-      D_{f+s(q)} = s(D_q), so q is a.r. in M/F iff s(q) is a.r. in M, and one
-      pass over the orbit labels tests every orbit.  F = 0 always takes it
-      (no quotient is presented), as does every M whose F_p are each 0 or
-      M_p, since `quotient_presentation` builds s primary part by primary part;
-    - kernel: otherwise (some F_p is neither 0 nor M_p, and s does not
-      split) the orbit kernel runs on a lift of one point per orbit.
+      M/H is M and the lift is the identity: no Smith normal form or span,
+      which cost more than labelling all of a small M.  The labels are exact
+      on M, so the one-pass test (`_split_not_ar`) is the difference-set
+      lemma itself, whether or not M splits over F;
+    - split: otherwise H = F.  When M = F ⊕ C for a Galois-stable C, the
+      projection pi maps C onto Q = M/F as a Galois isomorphism and D_{f+c} =
+      D_c, so q is a.r. in Q iff pi^-1(q) is a.r. in M, and one pass over the
+      orbit labels tests every orbit.  Lemma: for G abelian, C exists iff Q^G
+      = 0.
+      - =>, for any G: Q is isomorphic to C, and C^G = C n F = 0.
+      - <=: for a prime p write G = P x P', P the p-Sylow subgroup.  e =
+        |P'|^-1 sum_{h in P'} h is an idempotent on M_p that commutes with G,
+        so M_p = X ⊕ Y with X = M_p^{P'}, which holds F_p, and Y = (1 - e) M_p,
+        both G-stable.  If X != F_p, the p-group P fixes a nonzero point of
+        X/F_p = X/X^P, which lies in Q^G.  So Q^G = 0 gives X = F_p, and C is
+        the sum of the Y_p.
+      - If gcd(|F|, |Q|) = 1, each F_p is 0 or M_p, and C is the sum of the
+        M_p with F_p = 0, for any G.
+      So the route runs when gcd(|H|, |M/H|) = 1 (always when H = 0), or when
+      the generators commute (`GaloisModule.commutes`) and {0} is the only
+      one-point orbit of Q, read off the labels.  Without commuting
+      generators Q^G = 0 is not enough: S_3 permuting the coordinates of
+      (Z/3)^3 has no fixed point on Q and F has no complement;
+    - kernel: otherwise the orbit kernel runs on a lift of one point per
+      orbit (any lift: D_{f+x} = D_x).
     The steps pass grid codes.  max_points bounds |M|, or else |F|, |M/F| and
     the output (A, and E when it is spanned), each checked before it is
     allocated; max_closure bounds each orbit on every route (G(f + x) = f +
@@ -680,11 +690,12 @@ def almost_rational_set(module: GaloisModule, max_points: int = DEFAULT_MAX_POIN
         _check_cap(module, n_fixed, "rational points", max_points)
     if gens:
         pres = quotient_presentation(module, gens, name=f"{module.name}/F")
-        quotient, lift, split = pres.module, pres.lift, pres.splits
-    else:  # H = 0: M/H is M, and the identity is an equivariant lift
-        pres, quotient, lift, split = None, module, lambda codes: codes, True
+        quotient, lift = pres.module, pres.lift
+    else:  # H = 0: M/H is M, lifted by the identity
+        pres, quotient, lift = None, module, lambda codes: codes
     lab = _orbit_labels(quotient, max_points)
-    if split:
+    if (math.gcd(n_fixed, len(lab)) == 1
+            or (module.commutes and np.count_nonzero(np.bincount(lab) == 1) == 1)):
         bad = _split_not_ar(module, quotient, lab)
     else:
         reps = np.flatnonzero(lab == np.arange(len(lab)))
@@ -830,22 +841,6 @@ class QuotientPresentation:
         _check_int64(self.parent, self.module.factors)  # entries of S times quotient coordinates
         return _image(self.parent, self.section, _coords(self.module, codes))
 
-    @property
-    def splits(self) -> bool:
-        """Whether the lift s is a Galois-equivariant homomorphism.
-
-        Checked on generators in exact Python integers: e_j * S[:, j] = 0 mod d for
-        each factor e_j of Q, so s is a homomorphism, and g S = S g' mod d for each
-        generator g of M and the map g' it induces on Q, so s commutes with the
-        whole group.  project(s(q)) = q makes s injective, so when both hold and Q
-        = M/F, M = F + s(Q) is a direct sum of Galois modules.
-        """
-        m, q, s = self.parent, self.module, self.section
-        if any(x * e % d for row, d in zip(s, m.factors) for x, e in zip(row, q.factors)):
-            return False
-        return all(m.compose(g, s) == _reduce_rowwise(mat_mul(s, h), m.factors)
-                   for g, h in zip(m.generators, q.generators))
-
 
 def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
                           name: Optional[str] = None) -> QuotientPresentation:
@@ -855,25 +850,9 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     and each generator of the module must map every point of `sub` into their
     span; otherwise the offending generator is named.  The new basis comes
     from the Smith normal form U [diag(d) | sub] V = D: P is U restricted to
-    the nontrivial coordinates, S = c U^{-1} on them, and the induced action
-    of A is P A S, which is P A U^{-1} on those coordinates since c = 1 mod
-    the exponent of the quotient.
-
-    With H = ⟨sub⟩ and Q = M/H, c is the CRT idempotent of the exponent N of
-    M that is 1 mod p^{v_p(N)} for each prime p of |Q| and 0 mod the rest of
-    N; c_p denotes its p-component.  So the section is built primary part by
-    primary part:
-    - project(lift(q)) = c q = q, since the exponent of Q divides the
-      |Q|-primary part of N: lift is still a section;
-    - for a prime p with H_p = 0, the projection restricted to M_p is a
-      Galois-equivariant isomorphism onto Q_p, and q -> c_p U^{-1} q lands in
-      M_p and projects to c_p q = q_p, so it is that isomorphism's inverse
-      applied to q_p: a homomorphism, and equivariant;
-    - a prime with H_p = M_p is not a prime of |Q|, so c is 0 there.
-    So when each primary part of H is 0 or all of M_p, lift is the sum of
-    those inverses, an equivariant homomorphism, and M = H + lift(Q)
-    (`QuotientPresentation.splits`, which stays the exact test and alone
-    decides mixed primes).
+    the nontrivial coordinates, S is U^{-1} on them, and the induced action
+    of A is P A S.  P S = I, so S lifts each point of the quotient; it need
+    not be a homomorphism or Galois-equivariant, and no caller needs it to be.
     """
     sub_pts = [module.check_point(p) for p in sub]
     k = module.rank
@@ -883,15 +862,10 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
         raise RuntimeError("quotient of a finite group must be finite")
     keep = [i for i in range(k) if new_d[i] > 1] or [k - 1]  # a trivial quotient is Z/1
     new_factors = tuple(new_d[i] for i in keep)
-    order, exponent = math.prod(new_factors), math.lcm(*module.factors)
-    rest = exponent
-    while (g := math.gcd(rest, order)) > 1:
-        rest //= g  # the part of the exponent prime to |Q|
-    c = rest * pow(rest, -1, exponent // rest)  # 1 mod the |Q|-primary part, 0 mod rest; 0 if Q = 0
     projection = _reduce_rowwise([u[i] for i in keep], new_factors)
-    section = _reduce_rowwise([[c * row[i] for i in keep] for row in uinv], module.factors)
+    section = _reduce_rowwise([[row[i] for i in keep] for row in uinv], module.factors)
     new_gens = [mat_mul(mat_mul(projection, g), section) for g in module.generators]
-    qname = name or f"{module.name}/sub{module.point_count // order}"
+    qname = name or f"{module.name}/sub{module.point_count // math.prod(new_factors)}"
     pres = QuotientPresentation(
         module, GaloisModule._of_automorphisms(new_factors, new_gens, qname, module.max_closure),
         projection, section)

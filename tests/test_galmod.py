@@ -675,6 +675,29 @@ def _grid_index(m, pts):
     return numpy.ravel_multi_index(tuple((pts % m.factors).T), m.factors)
 
 
+def _complement_exists(m):
+    """The rational points F, and whether F has a Galois-stable complement C, by
+    brute force: C is isomorphic to M/F, which needs at most rank generators,
+    so C exists iff some span of at most rank points is Galois-stable, meets F
+    only in 0 and has |M| / |F| points."""
+    zero = m.zero()
+    fixed = {p for p in m.points() if all(apply_automorphism(m, g, p) == p
+                                          for g in m.generators)}
+    cyclic = set()
+    for p in m.points():
+        multiples, x = {zero}, p
+        while x not in multiples:
+            multiples.add(x)
+            x = m.add(x, p)
+        cyclic.add(frozenset(multiples))
+    spans = set(cyclic)
+    for _ in range(m.rank - 1):
+        spans |= {frozenset(m.add(a, b) for a in s for b in c) for s in spans for c in cyclic}
+    return fixed, any(len(s) * len(fixed) == m.point_count and s & fixed == {zero}
+                      and all(apply_automorphism(m, g, x) in s for g in m.generators for x in s)
+                      for s in spans)
+
+
 def _rational_quotient(m):
     return quotient_presentation(m, _fixed_generators(m)[0])
 
@@ -773,10 +796,10 @@ class TestOrbitRepresentatives:
     ], ids=["eis_191", "const_12", "trivial_2^6", "mu_101", "eis_97", "eis_41", "mu_4620",
             "hom_12_e1_d1"])
     def test_kernel_sees_one_point_per_orbit(self, module, reps, monkeypatch):
-        # one kernel call on one point per orbit of M/F, unless the lift of
-        # M/F splits M (reps = 0): then the orbit labels give the a.r. set.
-        # The lift is built primary part by primary part, so M splits
-        # whenever each F_p is 0 or M_p
+        # one kernel call on one point per orbit of M/F, unless F has a
+        # Galois-stable complement (reps = 0): then the orbit labels give the
+        # a.r. set.  It has one whenever each F_p is 0 or M_p, and, the
+        # generators commuting, exactly when M/F has no nonzero fixed point
         monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
         blocks = []
         kernel = galmod._not_ar_mask
@@ -791,45 +814,64 @@ class TestOrbitRepresentatives:
         assert "closure" not in vars(module)  # the reference below builds it
         assert rep.ar_points == _full_grid_ar(module)
 
-    def test_split_decision_matches_brute_force(self, module_corpus, monkeypatch):
-        # s splits M iff s(q + u_j) = s(q) + s(u_j) for every q and unit
-        # vector u_j of M/F (then s is additive, by induction) and s(g' q) =
-        # g s(q) for every generator g, g' its map on M/F; checked point by
-        # point here, and the kernel runs exactly when s does not split M
+    def test_split_decision_matches_brute_force(self, monkeypatch):
+        # the kernel runs exactly when F has no Galois-stable complement,
+        # found here by brute force over the spans of at most rank points
         monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
-        mods = list(module_corpus) + [eisenstein_model(N).module for N in (41, 97, 191, 241)]
-        mods += [cyclotomic_module(n) for n in (8, 12, 60, 4620)] + _cyclic_modules()
+        mods = [cyclotomic_module(n) for n in range(1, 65)]
+        mods += [homothety_module(m, e, 2) for m in range(1, 9) for e in (1, 2, 3)]
+        mods += [direct_sum(cyclotomic_module(a), summand(b)) for a in range(2, 9)
+                 for b in range(2, 9) for summand in (constant_module, cyclotomic_module)]
         kernel, calls = galmod._not_ar_mask, []
         monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))
         outcomes = []
         for m in mods:
-            gens = _fixed_generators(m)[0]
-            if not gens:  # F = 0: the identity lift
+            fixed, split = _complement_exists(m)
+            if len(fixed) == 1:  # F = 0: no quotient is presented
                 continue
-            pres = quotient_presentation(m, gens)
-            q, parents = pres.module, list(m.points())
-            qpts = list(q.points())
-            index = {p: i for i, p in enumerate(qpts)}
-            lift = [parents[c] for c in pres.lift(numpy.arange(len(qpts))).tolist()]
-            units = [tuple(int(i == j) % e for i, e in enumerate(q.factors)) for j in range(q.rank)]
-            additive = all(lift[index[q.add(p, u)]] == m.add(lift[i], lift[index[u]])
-                           for i, p in enumerate(qpts) for u in units)
-            equivariant = all(lift[index[apply_automorphism(q, h, p)]]
-                              == apply_automorphism(m, g, lift[i])
-                              for g, h in zip(m.generators, q.generators)
-                              for i, p in enumerate(qpts))
-            split = pres.splits
-            assert split == (additive and equivariant), m.name
             calls.clear()
-            almost_rational_set(m)
+            assert almost_rational_set(m).ar_points == _full_grid_ar(m), m.name
             assert calls == ([] if split else [1]), m.name
             outcomes.append(split)
-        assert outcomes.count(True) > 10 and outcomes.count(False) > 10
+        assert (outcomes.count(True), outcomes.count(False)) == (76, 58)
+
+    @pytest.mark.parametrize("d,ar", [(3, 21), (9, 711)])
+    def test_permuted_coordinates_keep_the_kernel(self, d, ar, monkeypatch):
+        # S_3 permuting the coordinates of (Z/d)^3 does not commute: M/F has
+        # no nonzero fixed point, yet F, the diagonal, has no Galois-stable
+        # complement, and the labels of M/F alone would find 9 and 675 a.r.
+        # points, not 21 and 711
+        monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
+        m = GaloisModule((d,) * 3, [[[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                                    [[1, 0, 0], [0, 0, 1], [0, 1, 0]]], name=f"s3_{d}")
+        naive = tuple(p for p in m.points() if is_almost_rational_naive(m, p))
+        kernel, calls = galmod._not_ar_mask, []
+        monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))
+        assert not m.commutes and len(fixed_points(_rational_quotient(m).module)) == 1
+        assert almost_rational_set(m).ar_points == naive
+        assert len(naive) == ar and calls == [1]
+
+    def test_coprime_rational_points_split_without_commuting(self, monkeypatch):
+        # gcd(|F|, |M/F|) = 1: F is a sum of whole primary parts, and the rest
+        # is a Galois-stable complement whatever the group; here F = Z/2 and
+        # M/F = (Z/101)^2 under a swap and diag(1, 2), which do not commute
+        swap_diag = GaloisModule((101, 101), [[[0, 1], [1, 0]], [[1, 0], [0, 2]]],
+                                 name="swap_diag_101")
+        m = direct_sum(constant_module(2), swap_diag)
+        assert m.point_count == 20402 and not m.commutes
+        assert _fixed_generators(m)[1] == 2
+        lab = _orbit_labels(m, m.point_count)  # the kernel on one point per orbit of M
+        reps = numpy.flatnonzero(lab == numpy.arange(len(lab)))
+        bad = numpy.zeros(len(lab), dtype=bool)
+        bad[reps] = _not_ar_mask(m, reps)
+        monkeypatch.setattr(galmod, "_not_ar_mask", None)
+        assert almost_rational_set(m).ar_points == tuple(
+            p for p, b in zip(m.points(), bad[lab]) if not b)
 
     def test_cyclic_modules_split_exactly_when_each_primary_part_does(self, monkeypatch):
         # a cyclic p-group is indecomposable, so Z/m splits over F exactly
         # when each p^a || m has F_p = 0 or F_p = Z/p^a, i.e. v_p(|F|) in {0, a};
-        # the primary-part section then makes the lift split, and no kernel runs
+        # then gcd(|F|, |M/F|) = 1, and no kernel runs
         monkeypatch.setattr(galmod, "WHOLE_MODULE_POINTS", 0)  # the quotient route
         kernel, calls = galmod._not_ar_mask, []
         monkeypatch.setattr(galmod, "_not_ar_mask", lambda m, c: calls.append(1) or kernel(m, c))

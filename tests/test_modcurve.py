@@ -234,6 +234,19 @@ class TestCodeVerdicts:
             assert spanned and f"eis_{N}" not in spanned, N
         assert len(levels) > 300
 
+    def test_kernel_runs_only_where_four_divides_n(self, monkeypatch):
+        # past WHOLE_MODULE_POINTS F is taken off, and it has a Galois-stable
+        # complement unless 4 | n: only those levels run the orbit kernel
+        kernel, calls = galmod._not_ar_mask, []
+        monkeypatch.setattr(galmod, "_not_ar_mask",
+                            lambda m, c: calls.append(m.name) or kernel(m, c))
+        for N in primes_in(23, 6000):
+            assert theorem3_check(N).verdict == "pass", N
+        big = {f"eis_{N}" for N in primes_in(23, 6000)
+               if eisenstein_model(N).module.point_count > galmod.WHOLE_MODULE_POINTS
+               and eisenstein_number(N) % 4 == 0}
+        assert sorted(calls) == sorted(big) and len(big) == 81
+
 
 class TestSurvey:
     def test_range_23_to_100(self):

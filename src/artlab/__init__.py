@@ -21,8 +21,8 @@ _EXPORTS = {
         "ARTReport", "GaloisModule", "Lemma4Audit", "almost_rational_set",
         "apply_automorphism", "constant_module", "cyclotomic_module", "direct_sum",
         "fixed_points", "halving_exclusion", "homothety_module", "is_almost_rational",
-        "is_almost_rational_naive", "lemma4_audit", "quotient_by",
-        "quotient_presentation", "subgroup_span", "two_step_unipotents", "validate_module",
+        "is_almost_rational_naive", "lemma4_audit", "quotient_presentation", "subgroup_span",
+        "two_step_unipotents", "validate_module",
     ),
     "lemma2": (
         "FermatCount", "Lemma2Report", "PairReport", "PairWitness", "PrimePowerWitness",

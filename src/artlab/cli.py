@@ -99,23 +99,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accepted and ignored: every command runs in one thread")
     common.add_argument("--cache-dir", default=None, metavar="PATH",
                         help=f"cache directory (default: ${CACHE_ENV_VAR})")
-    common.add_argument("--max-closure", type=int, default=DEFAULT_MAX_CLOSURE)
-    common.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
+    caps = argparse.ArgumentParser(add_help=False)  # read by the a.r. commands alone
+    caps.add_argument("--max-closure", type=int, default=DEFAULT_MAX_CLOSURE)
+    caps.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
 
     parser = argparse.ArgumentParser(
         prog="artlab",
         description="Almost-rational torsion points on finite Galois modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, caps],
                        help="almost-rational set of a module description file")
     p.add_argument("module_file")
 
-    p = sub.add_parser("mu", parents=[common],
+    p = sub.add_parser("mu", parents=[common, caps],
                        help="almost-rational set of the cyclotomic module mu_n")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("homothety", parents=[common],
+    p = sub.add_parser("homothety", parents=[common, caps],
                        help="almost-rational set of (Z/m)^dim under e-th power homotheties")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
@@ -142,11 +143,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("level", parents=[common], help="invariants of a prime level")
     p.add_argument("N", type=int)
 
-    p = sub.add_parser("theorem3", parents=[common],
+    p = sub.add_parser("theorem3", parents=[common, caps],
                        help="structure check of the Eisenstein model at level N")
     p.add_argument("N", type=int)
 
-    p = sub.add_parser("survey", parents=[common],
+    p = sub.add_parser("survey", parents=[common, caps],
                        help="level invariants + structure check over a prime range")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
@@ -232,10 +233,10 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     try:
-        for flag, value in (("--threads", args.threads), ("--max-closure", args.max_closure),
-                            ("--max-points", args.max_points)):
+        for dest in ("threads", "max_closure", "max_points"):
+            value = getattr(args, dest, 1)  # lemma2 and level take no caps
             if value < 1:
-                raise InvalidInputError(f"{flag} must be >= 1, got {value}")
+                raise InvalidInputError(f"--{dest.replace('_', '-')} must be >= 1, got {value}")
         if cache_dir:
             output, exit_code = cache_roundtrip(
                 cache_dir, _cache_key(args), lambda: _output(args))

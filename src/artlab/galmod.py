@@ -32,10 +32,9 @@ import json
 import math
 import operator
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -91,12 +90,12 @@ class ARTReport:
 
     @cached_property
     def ar_points(self) -> tuple[Point, ...]:
-        return tuple(_rows(self.module, self.ar_codes))
+        return tuple(chain.from_iterable(_rows(self.module, self.ar_codes)))
 
     @cached_property
     def expected(self) -> Optional[tuple[Point, ...]]:
         codes = self.expected_codes
-        return None if codes is None else tuple(_rows(self.module, codes))
+        return None if codes is None else tuple(chain.from_iterable(_rows(self.module, codes)))
 
     @cached_property
     def verdict(self) -> str:  # "pass" | "fail" | "not-checked"
@@ -115,8 +114,7 @@ class ARTReport:
         if self.pres is None:
             same = np.array_equal(self.lifts, self.expected_codes)
         else:
-            q, proj = self.pres.module, self.pres.projection  # gens are checked
-            image = subgroup_span(q, [apply_automorphism(q, proj, p) for p in gens], codes=True)
+            image = subgroup_span(self.pres.module, map(self.pres.project, gens), codes=True)
             same = (np.array_equal(image, self.quotient_ar)
                     and _subgroup_order(self.module, gens) == self.n_fixed * len(image))
         return "pass" if same else "fail"
@@ -132,11 +130,6 @@ class ARTReport:
     def __hash__(self):
         return hash(self._content())
 
-    def _row_chunks(self, codes: np.ndarray) -> Iterable[list[Point]]:
-        """The points with these grid codes, ROW_CHUNK at a time."""
-        return (list(_rows(self.module, codes[i:i + ROW_CHUNK]))
-                for i in range(0, len(codes), ROW_CHUNK))
-
     def to_json(self) -> dict:
         """The JSON object; "ms" is pinned to 0 so output is deterministic."""
         return {"name": self.name, "points": self.points, "ar_points": self.ar_points,
@@ -146,7 +139,7 @@ class ARTReport:
         """`to_json()` as one compact JSON line, the point arrays written a chunk
         at a time."""
         def array(codes):
-            return "[" + ",".join(_compact(rows)[1:-1] for rows in self._row_chunks(codes)) + "]"
+            return "[" + ",".join(_compact(rows)[1:-1] for rows in _rows(self.module, codes)) + "]"
 
         codes = self.expected_codes
         expected = "null" if codes is None else array(codes)
@@ -157,7 +150,7 @@ class ARTReport:
     def to_text(self) -> str:
         # each chunk as compact JSON: "[[0,1],[2,3]]" becomes "(0,1) (2,3)"
         points = " ".join("(" + _compact(rows)[2:-2].replace("],[", ") (") + ")"
-                          for rows in self._row_chunks(self.ar_codes))
+                          for rows in _rows(self.module, self.ar_codes))
         lines = [
             f"name    : {self.name}",
             f"points  : {self.points}",
@@ -435,10 +428,11 @@ def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) ->
     ... <= lab(x) for h = g^(2^j), and the windows at x, h x, ... tile the
     g-cycle of x.  So a pull sets lab(x) to the least earlier label on the
     g-cycle of x, and one pass over g_1, ..., g_k to the least code on
-    <g_k>...<g_1> x.  When the generators commute (`GaloisModule.commutes`),
-    that set is G x and one pass is exact.  Otherwise passes of pulls and
-    pointer jumping (lab = lab[lab]) run until a pass moves no label, so the
-    labels are constant on every orbit.
+    <g_k>...<g_1> x.  One loop runs the passes: when the generators commute
+    (`GaloisModule.commutes`), that set is G x and it stops after one pass
+    (one image per generator); otherwise each pass that moved a label is
+    followed by pointer jumping (lab = lab[lab]), and passes repeat until one
+    moves no label, so the labels are constant on every orbit.
     """
     _check_cap(module, module.point_count, "points", max_points)
     _check_int64(module, module.factors)
@@ -453,11 +447,7 @@ def _orbit_labels(module: GaloisModule, max_points: int = DEFAULT_MAX_POINTS) ->
             image, moved = image[image], True
         return moved
 
-    if module.commutes:
-        for g in module.generators:
-            pull(g)
-        return lab
-    while any([pull(g) for g in module.generators]):  # every pull, then jumps
+    while any([pull(g) for g in module.generators]) and not module.commutes:  # every pull
         while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
     return lab
@@ -475,9 +465,13 @@ def _check_int64(module: GaloisModule, cols: Sequence[int]) -> None:
     if module.point_count >= 2 ** 63 or (max(module.factors) - 1) * sum(cols) >= 2 ** 63:
         raise ResourceCapError(f"{module.name}: rank {module.rank} with largest factor "
                                f"{max(module.factors)} overflows int64 products")
-    if module.rank >= 64:  # only factors of 1 get here
+    _check_rank(module.name, module.rank)  # only factors of 1 get here
+
+
+def _check_rank(name: str, rank: int) -> None:
+    if rank >= 64:
         raise ResourceCapError(
-            f"{module.name}: rank {module.rank} exceeds 63, the most numpy's array axes allow")
+            f"{name}: rank {rank} exceeds 63, the most numpy's array axes allow")
 
 
 def _not_ar_mask(module: GaloisModule, codes: np.ndarray) -> np.ndarray:
@@ -562,11 +556,11 @@ def _split_not_ar(module: GaloisModule, quotient: GaloisModule, lab: np.ndarray)
     return bad
 
 
-def _rows(module: GaloisModule, codes: np.ndarray) -> Iterable[Point]:
-    """The points with the given grid codes, as tuples of ints.  They are built
-    a chunk at a time, so no Python list holds every coordinate at once."""
+def _rows(module: GaloisModule, codes: np.ndarray) -> Iterable[list[Point]]:
+    """The points with the given grid codes, as tuples of ints, in lists of at
+    most ROW_CHUNK points: no Python list holds every coordinate at once."""
     for start in range(0, len(codes), ROW_CHUNK):
-        yield from zip(*_coords(module, codes[start:start + ROW_CHUNK]).tolist())
+        yield list(zip(*_coords(module, codes[start:start + ROW_CHUNK]).tolist()))
 
 
 def _fixed_generators(module: GaloisModule) -> tuple[list[Point], int]:
@@ -730,17 +724,19 @@ def constant_module(n: int, max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisMod
 def homothety_module(m: int, e: int, dim: int,
                      max_closure: int = DEFAULT_MAX_CLOSURE) -> GaloisModule:
     """(Z/m)^dim acted on by the e-th power homotheties u^e * Id.  m^dim >= 2**63,
-    past every int64 bound of the a.r. path, is refused before any matrix exists."""
+    past every int64 bound of the a.r. path, and a rank past numpy's 63 axes
+    (dim >= 64 with m = 1) are refused before any factor or matrix exists."""
     if m < 1 or e < 1 or dim < 1:
         raise InvalidInputError(f"homothety_module: bad parameters {(m, e, dim)}")
+    name = f"hom_{m}_e{e}_d{dim}"
     if m > 1 and (dim >= 63 or m ** dim >= 2 ** 63):
-        raise ResourceCapError(f"hom_{m}_e{e}_d{dim}: {m}^{dim} points overflow int64 codes")
+        raise ResourceCapError(f"{name}: {m}^{dim} points overflow int64 codes")
+    _check_rank(name, dim)
     gens = []
     for u in unit_group_generators(m):
         scalar = pow(u, e, m)
         gens.append([[scalar if i == j else 0 for j in range(dim)] for i in range(dim)])
-    return GaloisModule._of_automorphisms((m,) * dim, gens, f"hom_{m}_e{e}_d{dim}",
-                                          max_closure)
+    return GaloisModule._of_automorphisms((m,) * dim, gens, name, max_closure)
 
 
 def direct_sum(a: GaloisModule, b: GaloisModule,
@@ -803,7 +799,7 @@ def subgroup_span(module: GaloisModule, gens: Iterable[Point], codes: bool = Fal
     _check_span_codes(module)
     cap = DEFAULT_MAX_POINTS if max_points is None else max_points  # read per call
     span = _span_codes(module, np.zeros(1, dtype=np.int64), gens, cap)
-    return span if codes else tuple(_rows(module, span))
+    return span if codes else tuple(chain.from_iterable(_rows(module, span)))
 
 
 def _relations(module: GaloisModule, pts: Sequence[Point]) -> list[list[int]]:
@@ -885,12 +881,6 @@ def quotient_presentation(module: GaloisModule, sub: Sequence[Point],
     return pres
 
 
-def quotient_by(module: GaloisModule, sub: Sequence[Point],
-                name: Optional[str] = None) -> GaloisModule:
-    """The quotient of the module by the Galois-stable subgroup spanned by sub."""
-    return quotient_presentation(module, sub, name=name).module
-
-
 # -- lemma audits --------------------------------------------------------
 
 
@@ -921,9 +911,9 @@ def halving_exclusion(module: GaloisModule, p: Point,
     cannot be almost rational.  Each element may be any k x k nested sequence."""
     p = module.check_point(p)
     subgroup = [tuple(map(tuple, a)) for a in subgroup]
-    closure = module.closure  # sorted, so membership is a binary search
+    closure = set(module.closure)
     for a in subgroup:
-        if closure[min(bisect_left(closure, a), len(closure) - 1)] != a:
+        if a not in closure:
             raise InvalidInputError(
                 f"{module.name}: automorphism {list(map(list, a))} is not in the closure")
     two_p = module.add(p, p)

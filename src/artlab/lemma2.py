@@ -382,9 +382,10 @@ def weil_threshold_prime(e: int, bound: int) -> WeilThreshold:
     if e < 1 or bound < 2:
         raise InvalidInputError(f"weil_threshold_prime: bad parameters {(e, bound)}")
     limit = e * e + 2 * e
-    if primes_in(FERMAT_PRIME_BOUND + 1, bound):  # refused before any prime is counted
+    primes = primes_in(2, bound)
+    if primes[-1] > FERMAT_PRIME_BOUND:  # refused before any prime is counted
         raise ResourceCapError(f"weil_threshold_prime: bound {bound} passes {FERMAT_PRIME_BOUND}")
-    hits = [l for l in primes_in(2, bound) if count_fermat_points(e, l) <= limit]
+    hits = [l for l in primes if count_fermat_points(e, l) <= limit]
     if not hits:
         raise InvalidInputError(
             f"weil_threshold_prime: no qualifying prime up to {bound}")

@@ -20,7 +20,7 @@ from artlab import (
     direct_sum,
     eisenstein_model,
     homothety_module,
-    quotient_by,
+    quotient_presentation,
 )
 
 CORPUS_SEED = 20260809
@@ -118,9 +118,9 @@ def named_constructor_modules():
     mods.append(direct_sum(constant_module(11), cyclotomic_module(11)))
     mods.append(direct_sum(constant_module(3), cyclotomic_module(3)))
     fused = direct_sum(constant_module(6), cyclotomic_module(6))
-    mods.append(quotient_by(fused, [(3, 3)]))
+    mods.append(quotient_presentation(fused, [(3, 3)]).module)
     fused10 = direct_sum(constant_module(10), cyclotomic_module(10))
-    mods.append(quotient_by(fused10, [(5, 5)]))
+    mods.append(quotient_presentation(fused10, [(5, 5)]).module)
     mods.extend(eisenstein_model(N).module for N in (23, 29, 37, 41, 73))
     # non-abelian and larger images, still within the corpus caps
     mods.append(direct_sum(cyclotomic_module(16), cyclotomic_module(16)))

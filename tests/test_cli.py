@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import artlab
-from artlab import cli, lemma2, modarith, modcurve
+from artlab import cli, galmod, lemma2, modarith, modcurve
 from artlab.cli import dispatch, emit_report, cache_roundtrip
 from artlab.galmod import almost_rational_set, cyclotomic_module
 from artlab.lemma2 import failure_scan
@@ -259,6 +259,17 @@ class TestExitCodes:
         code, out, _ = run(capsys, "homothety", "--m", "1", "--e", "1", "--dim", "63", "--json")
         assert code == 0 and json.loads(out)["ar_points"] == [[0] * 63]
 
+    def test_rank_past_63_is_refused_before_its_factors(self, capsys, monkeypatch):
+        # m = 1 passes the point bound; the rank alone is refused, before a factor tuple exists
+        def refuse(values, label):
+            raise AssertionError(f"built {label}")
+
+        monkeypatch.setattr(galmod, "_int_tuple", refuse)
+        code, out, err = run(capsys, "homothety", "--m", "1", "--e", "1", "--dim", "10000000")
+        assert (code, out) == (3, "")
+        assert err == ("artlab: hom_1_e1_d10000000: rank 10000000 exceeds 63, "
+                       "the most numpy's array axes allow\n")
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["frobnicate"])
@@ -293,6 +304,25 @@ class TestExitCodes:
     def test_bad_closure_cap(self, capsys):
         code, out, err = run(capsys, "mu", "11", "--max-closure", "0")
         assert code == 2 and out == "" and err == "artlab: --max-closure must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma2", "scan", "--e", "1", "--max", "100", "--max-points", "5"],
+        ["lemma2", "pair", "--m", "16", "--e", "2", "--max-closure", "5"],
+        ["level", "37", "--max-closure", "5"],
+        ["level", "37", "--max-points", "5"],
+    ], ids=["scan", "pair", "level-closure", "level-points"])
+    def test_caps_are_unknown_where_nothing_reads_them(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mu", "11"], ["homothety", "--m", "16", "--e", "2"], ["theorem3", "73"],
+        ["survey", "--from", "23", "--to", "30"], ["analyze", "missing.json"],
+    ], ids=["mu", "homothety", "theorem3", "survey", "analyze"])
+    def test_ar_commands_take_both_caps(self, argv):
+        args = cli._build_parser().parse_args(argv + ["--max-closure", "5", "--max-points", "7"])
+        assert (args.max_closure, args.max_points) == (5, 7)
 
     def test_scan_bound_exit(self, capsys, monkeypatch):
         def no_sieve(lo, hi):
@@ -515,6 +545,17 @@ class TestCache:
         key = {"version": "1", "params": {"fail": True}}
         assert cache_roundtrip(cache, key, lambda: ("bad\n", 1)) == ("bad\n", 1)
         assert cache_roundtrip(cache, key, lambda: ("unused\n", 0)) == ("bad\n", 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma2", "scan", "--e", "1", "--max", "100"],
+        ["lemma2", "pair", "--m", "16", "--e", "2"],
+        ["lemma2", "count", "--e", "3", "--p", "7"],
+        ["lemma2", "witness", "--p", "5", "--n", "2", "--e", "1"],
+        ["level", "37"],
+    ], ids=["scan", "pair", "count", "witness", "level"])
+    def test_cache_key_holds_no_cap_where_nothing_reads_one(self, argv):
+        params = cli._cache_key(cli._build_parser().parse_args(argv))["params"]
+        assert not {"max_closure", "max_points"} & set(params)
 
     def test_analyze_cache_keys_on_file_content(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

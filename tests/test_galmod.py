@@ -28,7 +28,6 @@ from artlab import (
     is_almost_rational,
     is_almost_rational_naive,
     lemma4_audit,
-    quotient_by,
     quotient_presentation,
     subgroup_span,
     two_step_unipotents,
@@ -382,7 +381,8 @@ class TestEnumeration:
     def test_block_kernel_matches_naive_oracle(self, monkeypatch):
         mods = [cyclotomic_module(n) for n in (8, 12, 30, 101)]
         mods.append(direct_sum(constant_module(10), cyclotomic_module(10)))
-        mods.append(quotient_by(direct_sum(constant_module(6), cyclotomic_module(6)), [(3, 3)]))
+        fused = direct_sum(constant_module(6), cyclotomic_module(6))
+        mods.append(quotient_presentation(fused, [(3, 3)]).module)
         mods.append(GaloisModule((3, 3), [[[0, 2], [1, 0]], [[1, 1], [0, 1]]]))
         mods.append(_gl2_3())  # non-abelian, two generators taking turns
         mods.append(GaloisModule((4, 4), [[[1, 1], [0, 1]], [[3, 0], [0, 3]]]))
@@ -449,7 +449,10 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError, match="overflow"):
             homothety_module(2, 1, 63)
         assert homothety_module(2, 1, 62).point_count == 2 ** 62
-        assert homothety_module(1, 1, 100).point_count == 1
+        # m = 1 passes the point bound at any rank, so rank 64 and up is refused too
+        with pytest.raises(ResourceCapError, match="^hom_1_e1_d100: rank 100 exceeds 63"):
+            homothety_module(1, 1, 100)
+        assert homothety_module(1, 1, 63).point_count == 1
 
     def test_int64_refusal_is_one_short_line(self):
         with pytest.raises(ResourceCapError) as exc:
@@ -1210,12 +1213,12 @@ class TestSubgroupAndQuotient:
 
     def test_fused_six_has_18_points(self):
         base = direct_sum(constant_module(6), cyclotomic_module(6))
-        q = quotient_by(base, [(3, 3)])
+        q = quotient_presentation(base, [(3, 3)]).module
         assert q.point_count == 18
 
     def test_quotient_by_zero_subgroup_is_isomorphic(self):
         base = direct_sum(constant_module(6), cyclotomic_module(6))
-        q = quotient_by(base, [(0, 0)])
+        q = quotient_presentation(base, [(0, 0)]).module
         assert q.point_count == base.point_count
         assert len(q.closure) == len(base.closure)
         assert len(almost_rational_set(q).ar_points) == len(almost_rational_set(base).ar_points)
@@ -1224,13 +1227,13 @@ class TestSubgroupAndQuotient:
         # the diagonal <(1, 1)> of Z/5 + mu_5 is not stable: (1, 1) -> (1, 2)
         base = direct_sum(constant_module(5), cyclotomic_module(5))
         with pytest.raises(InvalidInputError, match="not Galois-stable"):
-            quotient_by(base, [(1, 1)])
+            quotient_presentation(base, [(1, 1)])
 
     def test_non_stable_subgroup_names_the_generator(self):
         base = direct_sum(constant_module(5), cyclotomic_module(5))
         with pytest.raises(InvalidInputError,
                            match=r"generator \[\[1, 0\], \[0, 2\]\] sends \(1, 1\) to \(1, 2\)"):
-            quotient_by(base, [(1, 1)])
+            quotient_presentation(base, [(1, 1)])
 
     def test_stability_is_checked_against_the_span(self):
         # 3 * 2 = 6 is not a listed generator but lies in <2> = {0, 2, 4, 6}
@@ -1238,11 +1241,11 @@ class TestSubgroupAndQuotient:
         assert pres.module.factors == (2,)
         assert [pres.project((x,)) for x in range(8)] == [(0,), (1,)] * 4
         # a generator of the whole group: every subgroup containing 1 is stable
-        assert quotient_by(cyclotomic_module(5), [(1,)]).point_count == 1
+        assert quotient_presentation(cyclotomic_module(5), [(1,)]).module.point_count == 1
 
     def test_quotient_never_builds_the_parent_closure(self):
         base = direct_sum(constant_module(10), cyclotomic_module(10))
-        q = quotient_by(base, [(5, 5)])
+        q = quotient_presentation(base, [(5, 5)]).module
         assert "closure" not in vars(base)
         assert q.point_count == 50 and len(q.closure) == 4
 
@@ -1269,7 +1272,7 @@ class TestSubgroupAndQuotient:
 
     def test_quotient_by_full_group_is_trivial(self):
         m = constant_module(4)
-        q = quotient_by(m, [(1,)])
+        q = quotient_presentation(m, [(1,)]).module
         assert q.point_count == 1
 
     @pytest.mark.parametrize("n", [6, 10, 14])
@@ -1385,7 +1388,7 @@ class TestSmithNormalForm:
             pts = list(m.points())
             gens = [rng.choice(pts) for _ in range(rng.randint(1, 2))]
             span = subgroup_span(m, gens)
-            q = quotient_by(m, span)
+            q = quotient_presentation(m, span).module
             assert q.point_count * len(span) == m.point_count
 
     def test_stress_random_matrices(self):

@@ -423,3 +423,19 @@ class TestWeilThreshold:
         with pytest.raises(ResourceCapError):
             weil_threshold_prime(2, 1_000_003)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("bound, refused", [(1_000_003, True), (1_000_002, False)])
+    def test_refusal_reads_the_one_sieve(self, monkeypatch, bound, refused):
+        # 1,000,003 is the least prime past FERMAT_PRIME_BOUND = 10**6
+        counted, sieves, sieve = [], [], lemma2.primes_in
+        monkeypatch.setattr(lemma2, "count_fermat_points",
+                            lambda e, p: counted.append(p) or 0)
+        monkeypatch.setattr(lemma2, "primes_in",
+                            lambda lo, hi: sieves.append((lo, hi)) or sieve(lo, hi))
+        if refused:
+            with pytest.raises(ResourceCapError, match="passes 1000000"):
+                weil_threshold_prime(2, bound)
+            assert counted == []
+        else:
+            assert weil_threshold_prime(2, bound).largest == 999_983 == counted[-1]
+        assert sieves == [(2, bound)]

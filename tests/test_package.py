@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "ARTReport", "GaloisModule", "Lemma4Audit", "almost_rational_set",
     "apply_automorphism", "constant_module", "cyclotomic_module", "direct_sum", "fixed_points",
     "halving_exclusion", "homothety_module", "is_almost_rational", "is_almost_rational_naive",
-    "lemma4_audit", "quotient_by", "quotient_presentation", "subgroup_span",
+    "lemma4_audit", "quotient_presentation", "subgroup_span",
     "two_step_unipotents", "validate_module",
     "FermatCount", "Lemma2Report", "PairReport", "PairWitness", "PrimePowerWitness",
     "WeilThreshold", "count_fermat_points", "exists_pair", "failure_scan",
@@ -42,7 +42,7 @@ SUBMODULES = ("errors", "modarith", "snf", "galmod", "lemma2", "modcurve")
 
 
 def test_all_lists_the_public_api():
-    assert len(artlab.__all__) == len(PUBLIC_NAMES) == 56
+    assert len(artlab.__all__) == len(PUBLIC_NAMES) == 55
     assert set(artlab.__all__) == PUBLIC_NAMES
 
 
